@@ -233,7 +233,10 @@ func (h *Hierarchy) accessFromL2Miss(pa addr.PhysAddr) uint64 {
 // Misses fall through to the same outer-level walk Access uses.
 //mehpt:hotpath
 func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
-	const chunk = 64 // matches tlb.BatchWidth; local so the scratch is stack-sized
+	// chunk is how many accesses are indexed ahead of their tag compares:
+	// enough set loads to overlap, and little scratch to clear for the
+	// short runs a TLB-miss-heavy stream produces.
+	const chunk = 8
 	l1 := &h.levels[0]
 	l2 := &h.levels[1]
 	ways := uint64(l1.ways)

@@ -57,11 +57,6 @@ type Config struct {
 	PerWay         bool     // Section IV-D; off = all-way resizing
 	WeightedInsert bool     // Section IV-D insertion policy
 	Ladder         []uint64 // chunk-size ladder; nil = chunk.Ladder
-
-	// OnWayChange, if set, is invoked whenever a key is placed into a way
-	// (fresh insert, cuckoo kick, or migration) — the notification the OS
-	// uses to maintain the cuckoo walk tables.
-	OnWayChange func(key uint64, size addr.PageSize, way int)
 }
 
 // DefaultConfig returns the paper's Table III configuration.
@@ -311,45 +306,6 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// LookupBatch resolves len(keys) lookups in one software-pipelined sweep,
-// writing vals[i]/oks[i] for each key. Pass 1 computes the family-wide CRC
-// for a whole chunk so the hash table walks overlap across keys; pass 2
-// runs the way probes and the stash fallback. Results and statistics are
-// bit-identical to len(keys) sequential Lookup calls.
-//mehpt:hotpath
-func (t *Table) LookupBatch(keys []uint64, vals []uint64, oks []bool) {
-	const batchChunk = 64 // matches the translation pipeline's batch width
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > batchChunk {
-			n = batchChunk
-		}
-		var crcs [batchChunk]uint64
-		for i, k := range keys[:n] {
-			crcs[i] = t.mixer.CRC(k)
-		}
-		for i, k := range keys[:n] {
-			t.stats.Lookups++
-			vals[i], oks[i] = 0, false
-			for wi, w := range t.ways {
-				idx := w.locateHash(t.mixer.HashAt(wi, crcs[i]))
-				if w.slots[idx].Key == k {
-					vals[i], oks[i] = w.slots[idx].Val, true
-					break
-				}
-			}
-			if !oks[i] {
-				if si := t.stashIndex(k); si >= 0 {
-					vals[i], oks[i] = t.stash[si].Val, true
-				}
-			}
-		}
-		keys = keys[n:]
-		vals = vals[n:]
-		oks = oks[n:]
-	}
-}
-
 // Insert stores key→val, resizing as needed. It returns the cycle cost of
 // any physical allocations plus the number of cuckoo re-insertions.
 func (t *Table) Insert(key, val uint64) (kicks int, cycles uint64, err error) {
@@ -475,10 +431,9 @@ type undo struct {
 // tryPlace attempts to insert e, displacing occupants cuckoo-style for at
 // most MaxKicks displacements. weighted selects the weighted policy for
 // the first placement; kicks always use uniform-other. Every slot write is
-// journaled; if the chain overflows, the journal is replayed in reverse —
-// restored entries are republished to the OnWayChange hook — and the table
-// is left exactly as it was: a failed placement never evicts a previously
-// accepted entry.
+// journaled; if the chain overflows, the journal is replayed in reverse and
+// the table is left exactly as it was: a failed placement never evicts a
+// previously accepted entry.
 func (t *Table) tryPlace(e cuckoo.Entry, exclude int, weighted bool) (int, bool) {
 	journal := t.journal[:0]
 	kicks := 0
@@ -495,7 +450,6 @@ func (t *Table) tryPlace(e cuckoo.Entry, exclude int, weighted bool) (int, bool)
 		prev := w.slots[idx]
 		journal = append(journal, undo{w, idx, prev})
 		w.slots[idx] = e
-		t.noteWay(e.Key, i)
 		if prev.Key == cuckoo.EmptyKey {
 			// Only the chain's final empty-slot placement increments a way:
 			// every intermediate way lost its victim but gained the incomer.
@@ -509,9 +463,6 @@ func (t *Table) tryPlace(e cuckoo.Entry, exclude int, weighted bool) (int, bool)
 			for j := len(journal) - 1; j >= 0; j-- {
 				u := journal[j]
 				u.w.slots[u.idx] = u.prev
-				if u.prev.Key != cuckoo.EmptyKey {
-					t.noteWay(u.prev.Key, u.w.idx)
-				}
 			}
 			break
 		}
@@ -558,13 +509,6 @@ func (t *Table) placeMigration(e cuckoo.Entry, exclude int) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("displacement chain overflow during migration (max kicks %d)", t.cfg.MaxKicks)
-}
-
-// noteWay publishes a placement to the OnWayChange hook.
-func (t *Table) noteWay(key uint64, way int) {
-	if t.cfg.OnWayChange != nil {
-		t.cfg.OnWayChange(key, t.size, way)
-	}
 }
 
 // breakChain makes progress when a displacement chain exceeds MaxKicks:

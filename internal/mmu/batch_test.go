@@ -7,14 +7,6 @@ import (
 	"repro/internal/addr"
 )
 
-// batchMMU is the surface both concrete MMUs expose to the batched loop.
-type batchMMU interface {
-	MMU
-	TranslateWalk(va addr.VirtAddr, missLat uint64) Result
-	TranslateBatch(vas []addr.VirtAddr, out []Result) (int, uint64)
-	TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64)
-}
-
 type vaMapper interface {
 	Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error)
 }
@@ -22,9 +14,9 @@ type vaMapper interface {
 // batchPair builds two identical MMU+table pairs of the requested kind and
 // maps the same pages into both: mapped 4K pages, a 2M page, and a deliberate
 // unmapped hole so batches hit the fault path too.
-func batchPair(t *testing.T, kind string) (a, b batchMMU, vas []addr.VirtAddr) {
+func batchPair(t *testing.T, kind string) (a, b MMU, vas []addr.VirtAddr) {
 	t.Helper()
-	build := func() (batchMMU, vaMapper) {
+	build := func() (MMU, vaMapper) {
 		if kind == "Radix" {
 			m, pt, _ := newRadixMMU(t)
 			return m, pt
@@ -63,67 +55,19 @@ func batchPair(t *testing.T, kind string) (a, b batchMMU, vas []addr.VirtAddr) {
 	return am, bm, vas
 }
 
-// drainBatch drives vas through TranslateBatch in segments of varying width
-// (including width 1 and non-multiples of BatchWidth), completing each full
-// miss with TranslateWalk, and returns one Result per element.
-func drainBatch(m batchMMU, vas []addr.VirtAddr) []Result {
-	out := make([]Result, 0, len(vas))
-	var buf [BatchWidth]Result
-	segments := []int{1, 5, 31, 64, 64, 17}
-	pos, seg := 0, 0
-	for pos < len(vas) {
-		k := segments[seg%len(segments)]
-		seg++
-		if k > len(vas)-pos {
-			k = len(vas) - pos
-		}
-		n, missLat := m.TranslateBatch(vas[pos:pos+k], buf[:])
-		out = append(out, buf[:n]...)
-		if n < k {
-			out = append(out, m.TranslateWalk(vas[pos+n], missLat))
-			pos += n + 1
-			continue
-		}
-		pos += n
-	}
-	return out
-}
-
-// TestTranslateBatchMatchesScalar: the batched pipeline must be bit-identical
-// — per-element Result and final Stats — to scalar Translate calls on an
-// identically built MMU, for both MMU variants, across hit, miss, huge-page,
-// and fault elements.
+// TestTranslateBatchMatchesScalar: the batched entry point must be
+// bit-identical to scalar Translate calls on an identically built MMU, for
+// both MMU variants, across hit, miss, huge-page, and fault elements. Each
+// resolved element's physical address, the summed cycles of the resolved
+// run, the TranslateWalk result of a stopping element (whose cycles include
+// the returned miss latency), and the final Stats must all agree. Segments
+// of varying width exercise width 1 and non-multiples of BatchWidth.
 func TestTranslateBatchMatchesScalar(t *testing.T) {
 	for _, kind := range []string{"Radix", "HPT"} {
 		t.Run(kind, func(t *testing.T) {
 			scalar, batch, vas := batchPair(t, kind)
-			got := drainBatch(batch, vas)
-			if len(got) != len(vas) {
-				t.Fatalf("batch drained %d of %d elements", len(got), len(vas))
-			}
-			for i, va := range vas {
-				want := scalar.Translate(va)
-				if got[i] != want {
-					t.Fatalf("element %d (va %#x): batch %+v, scalar %+v", i, va, got[i], want)
-				}
-			}
-			if bs, ss := batch.Stats(), scalar.Stats(); bs != ss {
-				t.Errorf("stats diverge: batch %+v, scalar %+v", bs, ss)
-			}
-		})
-	}
-}
-
-// TestTranslateBatchPAsMatchesBatch: the fused physical-address entry point
-// must consume the same prefixes and produce the same addresses, summed
-// cycles, miss latencies, and statistics as the Result-shaped batch API.
-func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
-	for _, kind := range []string{"Radix", "HPT"} {
-		t.Run(kind, func(t *testing.T) {
-			ref, fused, vas := batchPair(t, kind)
-			var buf [BatchWidth]Result
 			var pas [BatchWidth]addr.PhysAddr
-			segments := []int{64, 3, 31, 1, 64, 20}
+			segments := []int{1, 5, 31, 64, 64, 17, 3, 20}
 			pos, seg := 0, 0
 			for pos < len(vas) {
 				k := segments[seg%len(segments)]
@@ -132,34 +76,86 @@ func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
 					k = len(vas) - pos
 				}
 				chunk := vas[pos : pos+k]
-				rn, rMiss := ref.TranslateBatch(chunk, buf[:])
-				fn, latSum, fMiss := fused.TranslateBatchPAs(chunk, pas[:k])
-				if fn != rn || fMiss != rMiss {
-					t.Fatalf("pos %d: fused (n=%d miss=%d), batch (n=%d miss=%d)", pos, fn, fMiss, rn, rMiss)
-				}
+				n, latSum, missLat := batch.TranslateBatchPAs(chunk, pas[:k])
 				var wantSum uint64
-				for i := 0; i < rn; i++ {
-					wantSum += buf[i].Cycles
-					if pas[i] != buf[i].PA {
-						t.Fatalf("pos %d+%d: pa %#x, batch %#x", pos, i, pas[i], buf[i].PA)
+				for i := 0; i < n; i++ {
+					want := scalar.Translate(chunk[i])
+					if want.Fault || pas[i] != want.PA {
+						t.Fatalf("pos %d+%d (va %#x): batch pa %#x, scalar %+v", pos, i, chunk[i], pas[i], want)
 					}
+					wantSum += want.Cycles
 				}
 				if latSum != wantSum {
-					t.Fatalf("pos %d: latSum %d, batch cycles %d", pos, latSum, wantSum)
+					t.Fatalf("pos %d: batch cycles %d, scalar %d", pos, latSum, wantSum)
 				}
-				if rn < k {
-					rw := ref.TranslateWalk(chunk[rn], rMiss)
-					fw := fused.TranslateWalk(chunk[rn], fMiss)
-					if rw != fw {
-						t.Fatalf("pos %d: walk results diverge: %+v vs %+v", pos, rw, fw)
+				if n < k {
+					got := batch.TranslateWalk(chunk[n], missLat)
+					if want := scalar.Translate(chunk[n]); got != want {
+						t.Fatalf("pos %d+%d (va %#x): walk %+v, scalar %+v", pos, n, chunk[n], got, want)
 					}
-					pos += rn + 1
+					pos += n + 1
 					continue
 				}
-				pos += rn
+				pos += n
 			}
-			if fs, rs := fused.Stats(), ref.Stats(); fs != rs {
-				t.Errorf("stats diverge: fused %+v, batch %+v", fs, rs)
+			if bs, ss := batch.Stats(), scalar.Stats(); bs != ss {
+				t.Errorf("stats diverge: batch %+v, scalar %+v", bs, ss)
+			}
+		})
+	}
+}
+
+// drainPAs drives vas through TranslateBatchPAs in segments of the given
+// widths, completing each stopping element with TranslateWalk. It returns
+// one physical address per element (a faulting element's walk PA), the
+// fault flag of each element, and the total cycles charged.
+func drainPAs(m MMU, vas []addr.VirtAddr, segments []int) ([]addr.PhysAddr, []bool, uint64) {
+	pas := make([]addr.PhysAddr, len(vas))
+	faults := make([]bool, len(vas))
+	var total uint64
+	pos, seg := 0, 0
+	for pos < len(vas) {
+		k := segments[seg%len(segments)]
+		seg++
+		if k > len(vas)-pos {
+			k = len(vas) - pos
+		}
+		n, latSum, missLat := m.TranslateBatchPAs(vas[pos:pos+k], pas[pos:pos+k])
+		total += latSum
+		if n < k {
+			r := m.TranslateWalk(vas[pos+n], missLat)
+			pas[pos+n], faults[pos+n] = r.PA, r.Fault
+			total += r.Cycles
+			pos += n + 1
+			continue
+		}
+		pos += n
+	}
+	return pas, faults, total
+}
+
+// TestTranslateBatchPAsMatchesBatch: the batch width a driver chooses must
+// not change what it observes. Ragged segments (width 1, non-multiples of
+// BatchWidth) and full-width batches over the same stream must give the same
+// per-element addresses and faults, the same total cycles, and the same
+// final Stats, for both MMU variants.
+func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
+	for _, kind := range []string{"Radix", "HPT"} {
+		t.Run(kind, func(t *testing.T) {
+			ragged, full, vas := batchPair(t, kind)
+			rPAs, rFaults, rTotal := drainPAs(ragged, vas, []int{64, 3, 31, 1, 64, 20})
+			fPAs, fFaults, fTotal := drainPAs(full, vas, []int{BatchWidth})
+			for i := range vas {
+				if rPAs[i] != fPAs[i] || rFaults[i] != fFaults[i] {
+					t.Fatalf("element %d (va %#x): ragged (pa %#x fault %v), full (pa %#x fault %v)",
+						i, vas[i], rPAs[i], rFaults[i], fPAs[i], fFaults[i])
+				}
+			}
+			if rTotal != fTotal {
+				t.Errorf("total cycles: ragged %d, full %d", rTotal, fTotal)
+			}
+			if rs, fs := ragged.Stats(), full.Stats(); rs != fs {
+				t.Errorf("stats diverge: ragged %+v, full %+v", rs, fs)
 			}
 		})
 	}
@@ -169,9 +165,9 @@ func TestTranslateBatchPAsMatchesBatch(t *testing.T) {
 // entry point on both MMU variants: a warm full-width batch must not touch
 // the heap.
 func TestTranslateBatchPAsAllocFree(t *testing.T) {
-	build := map[string]func() (batchMMU, vaMapper){
-		"Radix": func() (batchMMU, vaMapper) { m, pt, _ := newRadixMMU(t); return m, pt },
-		"HPT":   func() (batchMMU, vaMapper) { m, pt, _ := newHPTMMU(t); return m, pt },
+	build := map[string]func() (MMU, vaMapper){
+		"Radix": func() (MMU, vaMapper) { m, pt, _ := newRadixMMU(t); return m, pt },
+		"HPT":   func() (MMU, vaMapper) { m, pt, _ := newHPTMMU(t); return m, pt },
 	}
 	for _, kind := range []string{"Radix", "HPT"} {
 		t.Run(kind, func(t *testing.T) {

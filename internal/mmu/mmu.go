@@ -56,59 +56,114 @@ type HPTPageTable interface {
 	Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 }
 
-// HPT is the MMU for hashed page tables.
-type HPT struct {
+// front is the translation front end both MMU variants share: the TLB
+// hierarchy, the data-cache hierarchy walks go through, and the counters.
+// Each variant adds only its page walk.
+type front struct {
 	TLB   *tlb.Hierarchy
 	Mem   *cache.Hierarchy
+	stats Stats
+}
+
+// Stats returns translation counters.
+func (f *front) Stats() Stats { return f.stats }
+
+// RestoreStats reinstates translation counters captured by Stats. The
+// checkpoint serializes only the counters: the TLBs, CWCs, and PWCs are
+// flushed at every quantum boundary by Bind, so a round-boundary snapshot
+// never needs their contents.
+func (f *front) RestoreStats(s Stats) { f.stats = s }
+
+// lookup is the TLB half of a scalar Translate. TLB hits complete from the
+// cached payload (the PPN stored at insert time, as hardware does); the
+// page table is only probed on the walk path. TLB coherence — every
+// resident entry resolves in the bound table with the same PPN — is the
+// scrubber-enforced invariant that makes the payload trustworthy. On a
+// full miss it returns false and a Result carrying only the miss latency.
+//mehpt:hotpath
+func (f *front) lookup(va addr.VirtAddr) (Result, bool) {
+	f.stats.Translations++
+	r, s, pay, lat := f.TLB.LookupVA(va)
+	switch r {
+	case tlb.HitL1:
+		f.stats.L1Hits++
+	case tlb.HitL2:
+		f.stats.L2Hits++
+	default:
+		return Result{Cycles: lat}, false
+	}
+	return Result{PA: addr.Translate(va, addr.PPN(pay), s), Size: s, Cycles: lat}, true
+}
+
+// TranslateBatchPAs resolves the longest TLB-hit prefix of vas, software-
+// pipelined through tlb.Hierarchy.LookupBatchPAs: resolved elements land in
+// pas as physical addresses, and it returns the resolved count n and their
+// summed translation cycles. State updates, statistics, and timing are
+// bit-identical to n scalar Translate calls.
+//
+// When n < len(vas), element n missed every TLB: its probes have been
+// performed and counted, and the caller must finish it with
+// TranslateWalk(vas[n], missLat) — handling a fault exactly as it would on
+// a scalar Translate — before resuming the batch at n+1. A page walk ends
+// the batch because it touches the data-cache hierarchy, whose state the
+// caller's pending data accesses also touch; everything before it commutes
+// (TLB hits touch only TLB state). At most tlb.BatchWidth elements are
+// consumed per call.
+//mehpt:hotpath
+func (f *front) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
+	if len(vas) > tlb.BatchWidth {
+		vas = vas[:tlb.BatchWidth]
+	}
+	n, l1, latSum, missLat := f.TLB.LookupBatchPAs(vas, pas)
+	f.stats.Translations += uint64(n)
+	f.stats.L1Hits += l1
+	f.stats.L2Hits += uint64(n) - l1
+	if n < len(vas) {
+		f.stats.Translations++ // element n entered translation; its walk is the caller's
+	}
+	return n, latSum, missLat
+}
+
+// HPT is the MMU for hashed page tables.
+type HPT struct {
+	front
 	Table HPTPageTable
 	CWC   *cwc.Walker
-	stats Stats
 }
 
 // NewHPT wires an HPT MMU with Table III structures.
 func NewHPT(table HPTPageTable, mem *cache.Hierarchy) *HPT {
 	return &HPT{
-		TLB:   tlb.NewTableIII(),
-		Mem:   mem,
+		front: front{TLB: tlb.NewTableIII(), Mem: mem},
 		Table: table,
 		CWC:   cwc.New(),
 	}
 }
 
-// Stats returns translation counters.
-func (m *HPT) Stats() Stats { return m.stats }
-
 // Translate resolves va, modelling the full latency of TLB lookup and, on a
-// miss, the hashed page walk. TLB hits complete from the cached payload (the
-// PPN stored at insert time, as hardware does); the page table is only
-// probed on the walk path. TLB coherence — every resident entry resolves in
-// the bound table with the same PPN — is the scrubber-enforced invariant
-// that makes the payload trustworthy.
+// miss, the hashed page walk.
 //mehpt:hotpath
 func (m *HPT) Translate(va addr.VirtAddr) Result {
-	m.stats.Translations++
-	r, s, pay, lat := m.TLB.LookupVA(va)
-	switch r {
-	case tlb.HitL1:
-		m.stats.L1Hits++
-		return Result{PA: addr.Translate(va, addr.PPN(pay), s), Size: s, Cycles: lat}
-	case tlb.HitL2:
-		m.stats.L2Hits++
-		return Result{PA: addr.Translate(va, addr.PPN(pay), s), Size: s, Cycles: lat}
+	r, hit := m.lookup(va)
+	if hit {
+		return r
 	}
-	return m.walk(va, lat)
+	return m.TranslateWalk(va, r.Cycles)
 }
 
-// walk performs the hashed page walk after a full TLB miss whose
-// accumulated (parallel-probe) miss latency is tlbLat. Both the scalar
-// Translate and the batch pipeline's TranslateWalk funnel through this,
-// which keeps their results and stats bit-identical.
+// TranslateWalk performs the hashed page walk after a full TLB miss whose
+// accumulated (parallel-probe) miss latency is tlbLat. It completes the
+// element a TranslateBatchPAs call stopped at, whose TLB probes already ran
+// (and were counted) inside the batch, so calling Translate instead would
+// double-count them; pass the miss latency TranslateBatchPAs returned. It
+// is also the walk half of Translate, which keeps the two paths' results
+// and stats bit-identical.
 //
 // CRC hash units run in parallel with the CWC lookup (both fixed-latency);
 // the ME-HPT L2P access hides behind the CWC as well (Section V-D), so the
 // pre-probe latency is max(hash, CWC) = CWC.
 //mehpt:hotpath
-func (m *HPT) walk(va addr.VirtAddr, tlbLat uint64) Result {
+func (m *HPT) TranslateWalk(va addr.VirtAddr, tlbLat uint64) Result {
 	m.stats.Walks++
 	walk := uint64(hashfn.Latency)
 	hit, cwtPA, cwcLat := m.CWC.Probe(va)
@@ -136,75 +191,6 @@ func (m *HPT) walk(va addr.VirtAddr, tlbLat uint64) Result {
 		Size:   tr.Size,
 		Cycles: tlbLat + walk,
 	}
-}
-
-// TranslateWalk completes the pending element a TranslateBatch call stopped
-// at: its TLB probes have already run (and been counted) inside the batch,
-// so only the page walk remains. missLat is the miss latency TranslateBatch
-// returned. Calling Translate instead would double-count the TLB probes.
-//mehpt:hotpath
-func (m *HPT) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
-	return m.walk(va, missLat)
-}
-
-// TranslateBatch resolves the longest TLB-hit prefix of vas into out,
-// software-pipelined through tlb.Hierarchy.LookupBatch, and returns the
-// resolved count n. Results, statistics, and timing are bit-identical to n
-// scalar Translate calls.
-//
-// When n < len(vas), element n missed every TLB: its probes have been
-// performed and counted, and the caller must finish it with
-// TranslateWalk(vas[n], missLat) — handling a fault exactly as it would on
-// a scalar Translate — before resuming the batch at n+1. A page walk ends
-// the batch because it touches the data-cache hierarchy, whose state the
-// caller's pending data accesses also touch; everything before it commutes
-// (TLB hits touch only TLB state). At most tlb.BatchWidth elements are
-// consumed per call.
-//mehpt:hotpath
-func (m *HPT) TranslateBatch(vas []addr.VirtAddr, out []Result) (int, uint64) {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	var levels [tlb.BatchWidth]tlb.Result
-	var sizes [tlb.BatchWidth]addr.PageSize
-	var pays, lats [tlb.BatchWidth]uint64
-	n, missLat := m.TLB.LookupBatch(vas, levels[:], sizes[:], pays[:], lats[:])
-	for i := 0; i < n; i++ {
-		m.stats.Translations++
-		if levels[i] == tlb.HitL1 {
-			m.stats.L1Hits++
-		} else {
-			m.stats.L2Hits++
-		}
-		s := sizes[i]
-		out[i] = Result{PA: addr.Translate(vas[i], addr.PPN(pays[i]), s), Size: s, Cycles: lats[i]}
-	}
-	if n < len(vas) {
-		m.stats.Translations++ // element n entered translation; its walk is the caller's
-	}
-	return n, missLat
-}
-
-// TranslateBatchPAs is TranslateBatch fused for the simulator's batched
-// loop: resolved elements land directly in pas as physical addresses, and
-// the per-element Result metadata collapses into the summed translation
-// cycles (all the loop accumulates). State updates and final stats are
-// bit-identical to TranslateBatch; only the output shape differs. The
-// stop-at-first-full-miss contract is TranslateBatch's: when n < len(vas),
-// finish element n with TranslateWalk(vas[n], missLat).
-//mehpt:hotpath
-func (m *HPT) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	n, l1, latSum, missLat := m.TLB.LookupBatchPAs(vas, pas)
-	m.stats.Translations += uint64(n)
-	m.stats.L1Hits += l1
-	m.stats.L2Hits += uint64(n) - l1
-	if n < len(vas) {
-		m.stats.Translations++ // element n entered translation; its walk is the caller's
-	}
-	return n, latSum, missLat
 }
 
 // Invalidate drops TLB and CWC state for va (unmap, page-size promotion).
@@ -268,13 +254,11 @@ const pwcLatency = 4
 
 // Radix is the MMU for the radix-tree baseline.
 type Radix struct {
-	TLB   *tlb.Hierarchy
-	Mem   *cache.Hierarchy
+	front
 	Table *radix.PageTable
 	// pwcs[0] caches PMD entries (skip to PTE), [1] PUD entries (skip to
 	// PMD), [2] PGD entries (skip to PUD).
-	pwcs  [3]pwc
-	stats Stats
+	pwcs [3]pwc
 	// walkBuf is the scratch buffer AppendWalkAddrs fills on every TLB
 	// miss; a walk touches at most MaxLevels entries, so the steady-state
 	// walk path never allocates.
@@ -284,38 +268,28 @@ type Radix struct {
 // NewRadix wires a radix MMU with Table III structures: 3 PWC levels of 32
 // entries each.
 func NewRadix(table *radix.PageTable, mem *cache.Hierarchy) *Radix {
-	m := &Radix{TLB: tlb.NewTableIII(), Mem: mem, Table: table}
+	m := &Radix{front: front{TLB: tlb.NewTableIII(), Mem: mem}, Table: table}
 	m.pwcs[0] = pwc{shift: 21, entries: 32} // PMD entry: covers 2MB
 	m.pwcs[1] = pwc{shift: 30, entries: 32} // PUD entry: covers 1GB
 	m.pwcs[2] = pwc{shift: 39, entries: 32} // PGD entry: covers 512GB
 	return m
 }
 
-// Stats returns translation counters.
-func (m *Radix) Stats() Stats { return m.stats }
-
 // Translate resolves va through the TLBs and, on a miss, a sequential tree
-// walk whose upper levels the PWCs can skip. As in the HPT variant, TLB
-// hits complete from the cached PPN payload; only walks touch the tree.
+// walk whose upper levels the PWCs can skip.
 //mehpt:hotpath
 func (m *Radix) Translate(va addr.VirtAddr) Result {
-	m.stats.Translations++
-	r, s, pay, lat := m.TLB.LookupVA(va)
-	switch r {
-	case tlb.HitL1:
-		m.stats.L1Hits++
-		return Result{PA: addr.Translate(va, addr.PPN(pay), s), Size: s, Cycles: lat}
-	case tlb.HitL2:
-		m.stats.L2Hits++
-		return Result{PA: addr.Translate(va, addr.PPN(pay), s), Size: s, Cycles: lat}
+	r, hit := m.lookup(va)
+	if hit {
+		return r
 	}
-	return m.walk(va, lat)
+	return m.TranslateWalk(va, r.Cycles)
 }
 
-// walk performs the radix tree walk after a full TLB miss with accumulated
-// miss latency tlbLat; shared verbatim by Translate and TranslateWalk.
+// TranslateWalk performs the radix tree walk after a full TLB miss with
+// accumulated miss latency tlbLat; see HPT.TranslateWalk for the contract.
 //mehpt:hotpath
-func (m *Radix) walk(va addr.VirtAddr, tlbLat uint64) Result {
+func (m *Radix) TranslateWalk(va addr.VirtAddr, tlbLat uint64) Result {
 	m.stats.Walks++
 	pas, tr, ok := m.Table.AppendWalkAddrs(m.walkBuf[:0], va)
 	// The PWCs are probed in parallel: skip the deepest cached prefix.
@@ -358,59 +332,6 @@ func (m *Radix) walk(va addr.VirtAddr, tlbLat uint64) Result {
 	}
 }
 
-// TranslateWalk completes the pending element a TranslateBatch call stopped
-// at; see HPT.TranslateWalk for the contract.
-//mehpt:hotpath
-func (m *Radix) TranslateWalk(va addr.VirtAddr, missLat uint64) Result {
-	return m.walk(va, missLat)
-}
-
-// TranslateBatch resolves the longest TLB-hit prefix of vas into out; see
-// HPT.TranslateBatch for the contract — the two are line-for-line the same
-// pipeline over their shared TLB hierarchy.
-//mehpt:hotpath
-func (m *Radix) TranslateBatch(vas []addr.VirtAddr, out []Result) (int, uint64) {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	var levels [tlb.BatchWidth]tlb.Result
-	var sizes [tlb.BatchWidth]addr.PageSize
-	var pays, lats [tlb.BatchWidth]uint64
-	n, missLat := m.TLB.LookupBatch(vas, levels[:], sizes[:], pays[:], lats[:])
-	for i := 0; i < n; i++ {
-		m.stats.Translations++
-		if levels[i] == tlb.HitL1 {
-			m.stats.L1Hits++
-		} else {
-			m.stats.L2Hits++
-		}
-		s := sizes[i]
-		out[i] = Result{PA: addr.Translate(vas[i], addr.PPN(pays[i]), s), Size: s, Cycles: lats[i]}
-	}
-	if n < len(vas) {
-		m.stats.Translations++ // element n entered translation; its walk is the caller's
-	}
-	return n, missLat
-}
-
-// TranslateBatchPAs is the Radix twin of HPT.TranslateBatchPAs: the fused
-// batch entry point the simulator's loop drives, bit-identical in state and
-// stats to TranslateBatch.
-//mehpt:hotpath
-func (m *Radix) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	n, l1, latSum, missLat := m.TLB.LookupBatchPAs(vas, pas)
-	m.stats.Translations += uint64(n)
-	m.stats.L1Hits += l1
-	m.stats.L2Hits += uint64(n) - l1
-	if n < len(vas) {
-		m.stats.Translations++ // element n entered translation; its walk is the caller's
-	}
-	return n, latSum, missLat
-}
-
 // Invalidate drops TLB state for va.
 func (m *Radix) Invalidate(va addr.VirtAddr, s addr.PageSize) {
 	m.TLB.Invalidate(va, s)
@@ -433,9 +354,15 @@ func (m *Radix) Bind(table *radix.PageTable) {
 }
 
 // MMU is the interface the simulator drives; both variants satisfy it.
+// The access loop calls TranslateBatchPAs once per batch, TranslateWalk
+// once per TLB miss, and Translate only to retry a serviced fault.
 type MMU interface {
 	//mehpt:hotpath
 	Translate(va addr.VirtAddr) Result
+	//mehpt:hotpath
+	TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64)
+	//mehpt:hotpath
+	TranslateWalk(va addr.VirtAddr, missLat uint64) Result
 	Invalidate(va addr.VirtAddr, s addr.PageSize)
 	Stats() Stats
 }
@@ -443,30 +370,3 @@ type MMU interface {
 // BatchWidth is the translation pipeline width; batch callers size their
 // buffers to it. Re-exported from the TLB layer, which anchors the value.
 const BatchWidth = tlb.BatchWidth
-
-// TranslateBatchGeneric is the batch entry point for MMU implementations
-// without a pipelined path: it translates elements of vas in scalar order
-// until one faults, filling out[i] with each Result. It returns the number
-// of non-faulting translations n; when n < len(vas), out[n] holds the
-// faulted Result (its cycles already charged) and the caller services the
-// fault and retries vas[n] exactly as it would after a scalar Translate.
-//
-// Unlike the concrete batch paths, every returned element is fully
-// translated — walks included — so it is only interleaving-safe for MMUs
-// whose walks do not touch state the caller's deferred per-element work
-// (e.g. data-cache accesses) also touches. The simulator's generic trace
-// loop therefore keeps per-element scalar interleaving and batches only
-// trace decode; this helper serves drivers that do no per-element work
-// between translations.
-func TranslateBatchGeneric(m MMU, vas []addr.VirtAddr, out []Result) int {
-	if len(vas) > tlb.BatchWidth {
-		vas = vas[:tlb.BatchWidth]
-	}
-	for i, va := range vas {
-		out[i] = m.Translate(va)
-		if out[i].Fault {
-			return i
-		}
-	}
-	return len(vas)
-}

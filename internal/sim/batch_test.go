@@ -39,9 +39,45 @@ func batchTestVAs(seed int64, n int) []addr.VirtAddr {
 	return vas
 }
 
-// scalarOracle replays vas through the per-element scalar loop
-// (RunAddresses), the reference the batched loop must match bit-for-bit.
+// scalarOracle replays vas through a per-reference scalar loop — scalar
+// Translate, OS fault handling, a retried Translate, and a scalar cache
+// Access for every element — the reference every driver of the batched
+// pipeline must match bit-for-bit.
 func scalarOracle(t *testing.T, cfg Config, vas []addr.VirtAddr) Result {
+	t.Helper()
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Result{Org: cfg.Org, Workload: "stream", THP: cfg.THP}
+	for _, va := range vas {
+		res.Accesses++
+		r := m.pipe.MMU.Translate(va)
+		res.XlatCycles += r.Cycles
+		if r.Fault {
+			cycles, err := m.pipe.OS.HandleFault(va)
+			res.OSCycles += cycles
+			if err != nil {
+				res.Failed = true
+				res.FailReason = err.Error()
+				break
+			}
+			r = m.pipe.MMU.Translate(va)
+			res.XlatCycles += r.Cycles
+			if r.Fault {
+				res.Failed = true
+				res.FailReason = "fault persisted after OS handling"
+				break
+			}
+		}
+		res.DataCycles += m.pipe.Cache.Access(r.PA) / DataMLP
+	}
+	m.finish(&res)
+	return res
+}
+
+// pushRun replays vas through RunAddresses, one emit call per reference.
+func pushRun(t *testing.T, cfg Config, vas []addr.VirtAddr) Result {
 	t.Helper()
 	m, err := NewMachine(cfg)
 	if err != nil {
@@ -92,7 +128,8 @@ func assertSameResult(t *testing.T, label string, got, want Result) {
 // TestBatchedLoopMatchesScalar is the end-to-end bit-identity property the
 // batched pipeline claims: for every organization and for batch fills of 1,
 // a non-multiple of the width, and the full width, RunBatches must produce
-// exactly the Result (cycles, stats, page-table metrics) of the scalar loop.
+// exactly the Result (cycles, stats, page-table metrics) of the scalar loop,
+// and so must RunAddresses, which buffers emitted references into batches.
 func TestBatchedLoopMatchesScalar(t *testing.T) {
 	vas := batchTestVAs(29, 6000)
 	for _, org := range []Org{Radix, ECPT, MEHPT} {
@@ -108,13 +145,15 @@ func TestBatchedLoopMatchesScalar(t *testing.T) {
 			got := batchedRun(t, cfg, vas, fill)
 			assertSameResult(t, org.String(), got, want)
 		}
+		assertSameResult(t, org.String()+" RunAddresses", pushRun(t, cfg, vas), want)
 	}
 }
 
 // TestBatchedLoopMatchesScalarUnderInjection repeats the differential with a
 // fault-injection policy that kills the run mid-stream: the batched loop
-// must fail at the same access, with the same accumulated state, as the
-// scalar loop.
+// and RunAddresses must fail at the same access, with the same accumulated
+// state, as the scalar loop (RunAddresses ignoring references emitted after
+// the failure).
 func TestBatchedLoopMatchesScalarUnderInjection(t *testing.T) {
 	vas := batchTestVAs(31, 6000)
 	for _, org := range []Org{Radix, ECPT, MEHPT} {
@@ -127,6 +166,7 @@ func TestBatchedLoopMatchesScalarUnderInjection(t *testing.T) {
 			got := batchedRun(t, cfg, vas, fill)
 			assertSameResult(t, org.String(), got, want)
 		}
+		assertSameResult(t, org.String()+" RunAddresses", pushRun(t, cfg, vas), want)
 	}
 }
 
@@ -141,11 +181,12 @@ func TestBatchedLoopEmptySource(t *testing.T) {
 
 // TestRunStreamMatchesRunBatches closes the loop with the trace engine: a
 // binary trace replayed through RunStream must equal the same addresses fed
-// through RunBatches (and hence the scalar loop, via the tests above).
+// through RunBatches and through the scalar loop.
 func TestRunStreamMatchesRunBatches(t *testing.T) {
 	vas := batchTestVAs(37, 4000)
 	cfg := batchCfg(ECPT, "")
 	want := batchedRun(t, cfg, vas, 64)
+	assertSameResult(t, "RunBatches", want, scalarOracle(t, cfg, vas))
 
 	var buf bytes.Buffer
 	if err := trace.WriteBinaryVAs(&buf, vas); err != nil {

@@ -38,7 +38,6 @@ import (
 	"repro/internal/mmu"
 	"repro/internal/osmodel"
 	"repro/internal/phys"
-	"repro/internal/pt"
 	"repro/internal/radix"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -155,21 +154,15 @@ type Machine struct {
 	cfg      Config
 	mem      *phys.Memory
 	alloc    *phys.Allocator
-	os       *osmodel.OS
-	mmu      mmu.MMU
 	table    pageTable
-	cache    *cache.Hierarchy
+	pipe     Pipeline
 	injector *inject.Injector // nil unless Config.Inject is set
-	// Batch-loop scratch, allocated once with the machine: the buffers
-	// cross the vaSource interface boundary, so as locals they would
-	// escape to the heap on every Run* call. A machine runs one trace
-	// loop at a time, so sharing them is safe.
-	//mehpt:transient -- per-batch scratch, dead between NextBatch calls
+	// Trace-loop scratch, allocated once with the machine: the buffer is
+	// handed to the caller's batch producer, so as a local it would escape
+	// to the heap on every Run* call. A machine runs one trace loop at a
+	// time, so sharing it is safe.
+	//mehpt:transient -- per-batch scratch, dead between producer calls
 	vaBuf [mmu.BatchWidth]addr.VirtAddr
-	//mehpt:transient -- per-batch scratch, dead between batches
-	paBuf [mmu.BatchWidth]addr.PhysAddr
-	//mehpt:transient -- per-batch scratch, dead between batches
-	latBuf [mmu.BatchWidth]uint64
 }
 
 // NewMachine builds the machine for cfg, pre-fragmenting memory.
@@ -191,8 +184,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 		mem.ResetStats()
 	}
 	alloc := phys.NewAllocator(mem, cfg.FMFI)
-	m := &Machine{cfg: cfg, mem: mem, alloc: alloc,
-		cache: cache.NewHierarchy(cache.TableIII())}
+	m := &Machine{cfg: cfg, mem: mem, alloc: alloc}
+	m.pipe.Cache = cache.NewHierarchy(cache.TableIII())
 	if cfg.Inject != "" {
 		// The policy is attached after fragmentation, so the fragmenter's
 		// own blocker allocations are never injected; its seed is derived
@@ -208,12 +201,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 	seed := uint64(cfg.Seed)*2654435761 + 12345
 	switch cfg.Org {
 	case Radix:
-		rt, err := newRadixAdapter(alloc)
+		p, err := radix.NewPageTable(alloc)
 		if err != nil {
 			return nil, err
 		}
-		m.table = rt
-		m.mmu = mmu.NewRadix(rt.pt, m.cache)
+		m.table = p
+		m.pipe.MMU = mmu.NewRadix(p, m.pipe.Cache)
 	case ECPT:
 		c := ecpt.DefaultConfig(seed)
 		c.Rand = rand.New(rand.NewSource(cfg.Seed + 2))
@@ -222,7 +215,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.table = p
-		m.mmu = mmu.NewHPT(p, m.cache)
+		m.pipe.MMU = mmu.NewHPT(p, m.pipe.Cache)
 	case MEHPT:
 		var c mehpt.Config
 		if cfg.MEHPTConfig != nil {
@@ -238,7 +231,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.table = p
-		m.mmu = mmu.NewHPT(p, m.cache)
+		m.pipe.MMU = mmu.NewHPT(p, m.pipe.Cache)
 	default:
 		return nil, fmt.Errorf("sim: unknown organization %v", cfg.Org)
 	}
@@ -246,7 +239,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	osCfg := osmodel.DefaultConfig()
 	osCfg.THP = cfg.THP
 	osCfg.THPFraction = cfg.Workload.THPFraction
-	m.os = osmodel.New(osCfg, m.table, alloc)
+	m.pipe.OS = osmodel.New(osCfg, m.table, alloc)
 	return m, nil
 }
 
@@ -270,7 +263,7 @@ func (m *Machine) Run() Result {
 			if _, ok := m.table.Translate(va); ok {
 				return true
 			}
-			cycles, err := m.os.HandleFault(va)
+			cycles, err := m.pipe.OS.HandleFault(va)
 			res.OSCycles += cycles
 			if err != nil {
 				res.Failed = true
@@ -287,40 +280,36 @@ func (m *Machine) Run() Result {
 	}
 
 	tr := m.cfg.Workload.NewTrace(m.cfg.Seed+7, m.cfg.Accesses)
-	m.runSource(tr, &res)
+	m.runSource(tr.NextBatch, &res)
 	m.finish(&res)
 	return res
 }
 
-// vaSource feeds the trace loops a batch of virtual addresses at a time;
-// a short (including zero) fill ends the run. workload.Trace satisfies it
-// directly; funcSource and streamSource adapt the other producers.
-type vaSource interface {
-	//mehpt:hotpath
-	NextBatch(out []addr.VirtAddr) int
-}
-
-// runSource drives src through the access loop. The Org dispatch is hoisted
-// out of the loop: each organization gets a loop over its concrete MMU type,
-// so the per-batch TranslateBatch call needs no interface lookup and the
-// per-access counters accumulate in registers instead of Result fields.
-func (m *Machine) runSource(src vaSource, res *Result) {
-	switch mm := m.mmu.(type) {
-	case *mmu.HPT:
-		m.traceLoopHPT(src, res, mm)
-	case *mmu.Radix:
-		m.traceLoopRadix(src, res, mm)
-	default:
-		m.traceLoopGeneric(src, res)
+// runSource drives the pipeline from next, which fills the buffer it is
+// handed and returns how many addresses it produced, until next produces
+// none or an access fails.
+func (m *Machine) runSource(next func(out []addr.VirtAddr) int, res *Result) {
+	for {
+		n := next(m.vaBuf[:])
+		if n == 0 || !m.step(m.vaBuf[:n], res) {
+			return
+		}
 	}
 }
 
-// serviceFault runs the OS fault handler for va, accumulating its cycle
-// cost. It returns false if the run must stop (allocation failure).
-func (m *Machine) serviceFault(va addr.VirtAddr, res *Result) bool {
-	cycles, err := m.os.HandleFault(va) //mehpt:allow hotalloc -- fault path: a miss leaves the translation fast path by design
-	res.OSCycles += cycles
+// step runs vas through the pipeline, accumulating into res. It returns
+// false once the run has failed; the failing access counts toward
+// res.Accesses.
+//mehpt:hotpath
+func (m *Machine) step(vas []addr.VirtAddr, res *Result) bool {
+	var c Cycles
+	n, err := m.pipe.Step(vas, &c)
+	res.Accesses += uint64(n)
+	res.XlatCycles += c.Xlat
+	res.DataCycles += c.Data
+	res.OSCycles += c.OS
 	if err != nil {
+		res.Accesses++
 		res.Failed = true
 		res.FailReason = err.Error()
 		return false
@@ -328,165 +317,13 @@ func (m *Machine) serviceFault(va addr.VirtAddr, res *Result) bool {
 	return true
 }
 
-// traceLoopHPT is the timed access loop over the hashed-page-table MMU.
-// traceLoopRadix is the same loop body over the radix MMU type; the two must
-// stay in lockstep (traceLoopGeneric keeps the scalar interleave).
-//
-// The loop is batched: TranslateBatch resolves the longest TLB-hit run in
-// one pipelined pass, AccessBatch replays the run's data accesses the same
-// way, and only the element that misses every TLB drops to the scalar
-// walk/fault path. The reorder is invisible — TLB hits touch only TLB state
-// and data accesses only cache state, so hits-then-accesses commutes with
-// the scalar interleave, and the batch stops at the first page walk (which
-// does touch the data caches) so walks stay in scalar order. The batch-vs-
-// scalar differential tests in batch_test.go pin this bit-for-bit.
-//mehpt:hotpath
-func (m *Machine) traceLoopHPT(src vaSource, res *Result, mm *mmu.HPT) {
-	var accesses, xlat, data uint64
-	vaBuf, paBuf, latBuf := &m.vaBuf, &m.paBuf, &m.latBuf
-loop:
-	for {
-		n := src.NextBatch(vaBuf[:])
-		if n == 0 {
-			break
-		}
-		batch := vaBuf[:n]
-		for len(batch) > 0 {
-			done, latSum, missLat := mm.TranslateBatchPAs(batch, paBuf[:])
-			xlat += latSum
-			if done > 0 {
-				accesses += uint64(done)
-				m.cache.AccessBatch(paBuf[:done], latBuf[:done])
-				for i := 0; i < done; i++ {
-					data += latBuf[i] / DataMLP
-				}
-			}
-			if done == len(batch) {
-				break
-			}
-			// Element `done` missed every TLB inside the batch; finish its
-			// walk (and any fault) exactly as the scalar loop would.
-			va := batch[done]
-			accesses++
-			r := mm.TranslateWalk(va, missLat)
-			xlat += r.Cycles
-			if r.Fault {
-				if !m.serviceFault(va, res) {
-					break loop
-				}
-				r = mm.Translate(va)
-				xlat += r.Cycles
-				if r.Fault {
-					res.Failed = true
-					res.FailReason = "fault persisted after OS handling"
-					break loop
-				}
-			}
-			data += m.cache.Access(r.PA) / DataMLP
-			batch = batch[done+1:]
-		}
-	}
-	res.Accesses += accesses
-	res.XlatCycles += xlat
-	res.DataCycles += data
-}
-
-// traceLoopRadix mirrors traceLoopHPT for the radix MMU.
-//mehpt:hotpath
-func (m *Machine) traceLoopRadix(src vaSource, res *Result, mm *mmu.Radix) {
-	var accesses, xlat, data uint64
-	vaBuf, paBuf, latBuf := &m.vaBuf, &m.paBuf, &m.latBuf
-loop:
-	for {
-		n := src.NextBatch(vaBuf[:])
-		if n == 0 {
-			break
-		}
-		batch := vaBuf[:n]
-		for len(batch) > 0 {
-			done, latSum, missLat := mm.TranslateBatchPAs(batch, paBuf[:])
-			xlat += latSum
-			if done > 0 {
-				accesses += uint64(done)
-				m.cache.AccessBatch(paBuf[:done], latBuf[:done])
-				for i := 0; i < done; i++ {
-					data += latBuf[i] / DataMLP
-				}
-			}
-			if done == len(batch) {
-				break
-			}
-			va := batch[done]
-			accesses++
-			r := mm.TranslateWalk(va, missLat)
-			xlat += r.Cycles
-			if r.Fault {
-				if !m.serviceFault(va, res) {
-					break loop
-				}
-				r = mm.Translate(va)
-				xlat += r.Cycles
-				if r.Fault {
-					res.Failed = true
-					res.FailReason = "fault persisted after OS handling"
-					break loop
-				}
-			}
-			data += m.cache.Access(r.PA) / DataMLP
-			batch = batch[done+1:]
-		}
-	}
-	res.Accesses += accesses
-	res.XlatCycles += xlat
-	res.DataCycles += data
-}
-
-// traceLoopGeneric mirrors the scalar loop over the MMU interface, for MMU
-// implementations the fast paths do not know about. Only the trace decode is
-// batched: an unknown MMU's walks may touch arbitrary machine state, so the
-// per-element Translate/Access interleave must stay in scalar order (see
-// mmu.TranslateBatchGeneric for the same constraint).
-//mehpt:hotpath
-func (m *Machine) traceLoopGeneric(src vaSource, res *Result) {
-	var accesses, xlat, data uint64
-	vaBuf := &m.vaBuf
-loop:
-	for {
-		n := src.NextBatch(vaBuf[:])
-		if n == 0 {
-			break
-		}
-		for _, va := range vaBuf[:n] {
-			accesses++
-			r := m.mmu.Translate(va)
-			xlat += r.Cycles
-			if r.Fault {
-				if !m.serviceFault(va, res) {
-					break loop
-				}
-				r = m.mmu.Translate(va)
-				xlat += r.Cycles
-				if r.Fault {
-					res.Failed = true
-					res.FailReason = "fault persisted after OS handling"
-					break loop
-				}
-			}
-			data += m.cache.Access(r.PA) / DataMLP
-		}
-	}
-	res.Accesses += accesses
-	res.XlatCycles += xlat
-	res.DataCycles += data
-}
-
 func (m *Machine) finish(res *Result) {
 	res.Cycles = res.DataCycles + res.XlatCycles + res.OSCycles
 	if m.injector != nil {
 		res.InjectedFaults = m.injector.Stats().Injected
 	}
-	res.MMU = m.mmu.Stats()
-	res.OS = m.os.Stats()
+	res.MMU = m.pipe.MMU.Stats()
+	res.OS = m.pipe.OS.Stats()
 	res.PTPeakBytes = m.table.PeakFootprintBytes()
 	res.PTFinalBytes = m.table.FootprintBytes()
 	res.MaxContiguous = m.table.MaxContiguousAlloc()
@@ -504,72 +341,38 @@ func (m *Machine) finish(res *Result) {
 // gen's emit callback performs one memory reference (translation, fault
 // handling, data access) per call. It powers algorithm-driven traces
 // (internal/graph kernels) as opposed to the statistical workload traces.
+// Emitted addresses are buffered into batches for the pipeline; the
+// results are those of performing each reference as it is emitted, and
+// references emitted after the run fails are ignored.
 func (m *Machine) RunAddresses(gen func(emit func(va addr.VirtAddr))) Result {
 	res := Result{Org: m.cfg.Org, Workload: "stream", THP: m.cfg.THP}
+	pending := m.vaBuf[:0]
 	gen(func(va addr.VirtAddr) {
 		if res.Failed {
 			return
 		}
-		res.Accesses++
-		r := m.mmu.Translate(va)
-		res.XlatCycles += r.Cycles
-		if r.Fault {
-			cycles, err := m.os.HandleFault(va)
-			res.OSCycles += cycles
-			if err != nil {
-				res.Failed = true
-				res.FailReason = err.Error()
-				return
-			}
-			r = m.mmu.Translate(va)
-			res.XlatCycles += r.Cycles
-			if r.Fault {
-				res.Failed = true
-				res.FailReason = "fault persisted after OS handling"
-				return
-			}
+		pending = append(pending, va)
+		if len(pending) == cap(pending) {
+			m.step(pending, &res)
+			pending = pending[:0]
 		}
-		res.DataCycles += m.cache.Access(r.PA) / DataMLP
 	})
+	if !res.Failed {
+		m.step(pending, &res)
+	}
 	m.finish(&res)
 	return res
-}
-
-// funcSource adapts a plain fill callback to vaSource.
-type funcSource func(out []addr.VirtAddr) int
-
-//mehpt:hotpath
-func (f funcSource) NextBatch(out []addr.VirtAddr) int {
-	return f(out) //mehpt:allow hotalloc -- the callback is the caller's trace generator, outside the modeled pipeline; one dynamic call per BatchWidth accesses
 }
 
 // RunBatches drives the machine from a batch producer: next fills the
-// buffer it is handed and returns how many addresses it produced; a short
-// (including zero) fill ends the run. This is the batched counterpart of
-// RunAddresses — same access semantics, but the machine runs its pipelined
-// loop instead of one emit call per reference.
+// buffer it is handed and returns how many addresses it produced; a zero
+// fill ends the run. It has RunAddresses' access semantics without the
+// per-reference callback.
 func (m *Machine) RunBatches(next func(out []addr.VirtAddr) int) Result {
 	res := Result{Org: m.cfg.Org, Workload: "stream", THP: m.cfg.THP}
-	m.runSource(funcSource(next), &res)
+	m.runSource(next, &res)
 	m.finish(&res)
 	return res
-}
-
-// streamSource adapts a trace.Stream to vaSource, stashing the terminal
-// error (anything but clean io.EOF) for RunStream to report.
-type streamSource struct {
-	s trace.Stream
-	//mehpt:transient -- replay error latch, only meaningful within one RunStream call
-	err error
-}
-
-//mehpt:hotpath
-func (s *streamSource) NextBatch(out []addr.VirtAddr) int {
-	n, err := s.s.NextBatch(out)
-	if err != nil && err != io.EOF {
-		s.err = err
-	}
-	return n
 }
 
 // RunStream replays a recorded trace (either format; see trace.OpenStream)
@@ -578,10 +381,16 @@ func (s *streamSource) NextBatch(out []addr.VirtAddr) int {
 // results accumulated up to that point.
 func (m *Machine) RunStream(src trace.Stream) (Result, error) {
 	res := Result{Org: m.cfg.Org, Workload: "stream", THP: m.cfg.THP}
-	ss := &streamSource{s: src}
-	m.runSource(ss, &res)
+	var serr error
+	m.runSource(func(out []addr.VirtAddr) int {
+		n, err := src.NextBatch(out)
+		if err != nil && err != io.EOF {
+			serr = err
+		}
+		return n
+	}, &res)
 	m.finish(&res)
-	return res, ss.err
+	return res, serr
 }
 
 // Table returns the machine's page table (for experiment inspection before
@@ -601,33 +410,3 @@ func (m *Machine) Injector() *inject.Injector { return m.injector }
 // it so a pristine buddy allocator still charges the paper's 0.7-FMFI
 // costs.
 func (m *Machine) SetAmbientFMFI(f float64) { m.alloc.AmbientFMFI = f }
-
-// radixAdapter gives radix.PageTable the uniform pageTable shape (it lacks
-// nothing but the interface names line up except for construction).
-type radixAdapter struct {
-	pt *radix.PageTable
-}
-
-func newRadixAdapter(alloc *phys.Allocator) (*radixAdapter, error) {
-	p, err := radix.NewPageTable(alloc)
-	if err != nil {
-		return nil, err
-	}
-	return &radixAdapter{pt: p}, nil
-}
-
-func (r *radixAdapter) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error) {
-	return r.pt.Map(vpn, s, ppn)
-}
-func (r *radixAdapter) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
-	return r.pt.Unmap(vpn, s)
-}
-func (r *radixAdapter) Translate(va addr.VirtAddr) (pt.Translation, bool) {
-	return r.pt.Translate(va)
-}
-func (r *radixAdapter) FootprintBytes() uint64     { return r.pt.FootprintBytes() }
-func (r *radixAdapter) PeakFootprintBytes() uint64 { return r.pt.PeakFootprintBytes() }
-func (r *radixAdapter) MaxContiguousAlloc() uint64 { return r.pt.MaxContiguousAlloc() }
-func (r *radixAdapter) AllocCycles() uint64        { return r.pt.AllocCycles() }
-func (r *radixAdapter) Moves() uint64              { return r.pt.Moves() }
-func (r *radixAdapter) Free()                      { r.pt.Free() }

@@ -130,7 +130,10 @@ func Load(path string, state any) error {
 		return fmt.Errorf("%w: %s: file version %d, this build reads %d", ErrVersion, path, v, Version)
 	}
 	n := binary.BigEndian.Uint64(raw[12:20])
-	if uint64(len(raw)) < headerLen+n+sumLen {
+	// Compare n against the bytes present rather than summing it into the
+	// header and checksum lengths: the untrusted n can be near 2^64, where
+	// the sum would wrap around.
+	if avail := len(raw) - headerLen - sumLen; avail < 0 || n > uint64(avail) {
 		return fmt.Errorf("%w: %s: payload %d bytes promised, %d present", ErrTruncated, path, n, len(raw)-headerLen)
 	}
 	payload := raw[headerLen : headerLen+n]

@@ -6,11 +6,13 @@ package snapshot
 // atomically — a failed save never clobbers the previous snapshot.
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -26,7 +28,7 @@ func samplePayload() payload {
 	return p
 }
 
-func savedPath(t *testing.T) string {
+func savedPath(t testing.TB) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "state.snap")
 	if err := Save(path, samplePayload()); err != nil {
@@ -176,4 +178,81 @@ func TestFailedSaveKeepsPrevious(t *testing.T) {
 	if got.Name != samplePayload().Name {
 		t.Fatalf("previous snapshot content changed: %+v", got)
 	}
+}
+
+// TestRejectsLengthOverflow is the regression for a 52-byte envelope whose
+// length field is near 2^64: adding it to the header and checksum lengths
+// wrapped around and slicing the payload panicked. It must report
+// ErrTruncated.
+func TestRejectsLengthOverflow(t *testing.T) {
+	var got payload
+	if err := Load("testdata/length-overflow.snap", &got); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("got %v, want ErrTruncated", err)
+	}
+}
+
+// envelope wraps payload bytes in a well-formed header and checksum, so
+// fuzzed payloads reach the gob decoder instead of stopping at the
+// checksum.
+func envelope(body []byte) []byte {
+	out := make([]byte, headerLen, headerLen+len(body)+sumLen)
+	copy(out, magic[:])
+	binary.BigEndian.PutUint32(out[8:12], Version)
+	binary.BigEndian.PutUint64(out[12:20], uint64(len(body)))
+	out = append(out, body...)
+	sum := sha256.Sum256(body)
+	return append(out, sum[:]...)
+}
+
+// loadHeapBound is the allocation budget for loading an n-byte file: the
+// file itself and its decode, plus a fixed 16MB because encoding/gob reads
+// a message whose header declares more bytes than are present in chunks of
+// up to 10MB before it finds the short read.
+func loadHeapBound(n int) uint64 { return 16*uint64(n) + 16<<20 }
+
+// FuzzSnapshotLoad: Load on arbitrary bytes — raw, and with the bytes as a
+// checksummed payload — never panics, fails only with one of the typed
+// sentinels, and allocates in proportion to the file it reads.
+func FuzzSnapshotLoad(f *testing.F) {
+	valid, err := os.ReadFile(savedPath(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	overflow, err := os.ReadFile("testdata/length-overflow.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(valid)
+	f.Add(overflow)
+	f.Add(valid[:len(valid)-1])
+	f.Add(valid[headerLen : len(valid)-sumLen]) // a bare gob payload
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, file := range [][]byte{data, envelope(data)} {
+			path := filepath.Join(dir, "fuzz.snap")
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got payload
+			var lerr error
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			lerr = Load(path, &got)
+			runtime.ReadMemStats(&after)
+			if used, bound := after.TotalAlloc-before.TotalAlloc, loadHeapBound(len(file)); used > bound {
+				t.Fatalf("form %d: loading %d bytes allocated %d, bound %d", i, len(file), used, bound)
+			}
+			if lerr == nil {
+				continue
+			}
+			typed := false
+			for _, want := range []error{ErrNotSnapshot, ErrVersion, ErrTruncated, ErrChecksum, ErrDecode} {
+				typed = typed || errors.Is(lerr, want)
+			}
+			if !typed {
+				t.Fatalf("form %d: untyped error: %v", i, lerr)
+			}
+		}
+	})
 }

@@ -117,7 +117,7 @@ func (m *Machine) CheckShardTLBs() []string {
 			// Unbound shard: its TLBs were never filled (bind flushes), so
 			// any resident entry is already a violation; resolve stays false.
 		}
-		sh.tlbs().VisitEntries(func(vpn addr.VPN, s addr.PageSize, level int, pay uint64) {
+		sh.tlbs.VisitEntries(func(vpn addr.VPN, s addr.PageSize, level int, pay uint64) {
 			if ppn, ok := resolve(vpn, s); ok {
 				if ppn == pay {
 					return

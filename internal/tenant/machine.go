@@ -102,11 +102,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 func newShards(cfg Config) []*shard {
 	shards := make([]*shard, cfg.Cores)
 	for c := range shards {
-		if cfg.Org == sim.Radix {
-			shards[c] = &shard{rdx: mmu.NewRadix(nil, nil)}
-		} else {
-			shards[c] = &shard{hpt: mmu.NewHPT(nil, nil)}
-		}
+		shards[c] = newShard(cfg.Org)
 	}
 	return shards
 }
@@ -281,7 +277,7 @@ func (m *Machine) State() *MachineState {
 		st.Procs[i] = ps
 	}
 	for i, sh := range m.shards {
-		st.ShardStats[i] = sh.mmu().Stats()
+		st.ShardStats[i] = sh.pipe.MMU.Stats()
 	}
 	if m.injector != nil {
 		is := m.injector.State()

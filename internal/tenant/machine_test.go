@@ -172,7 +172,7 @@ func TestStaleTLBDetection(t *testing.T) {
 			}
 			// A VA far outside every tenant's address space and the shared
 			// segment: resident in the TLB, backed by nothing.
-			m.shards[0].tlbs().Insert(addr.VirtAddr(0x7f12_3456_7000), addr.Page4K, 1)
+			m.shards[0].tlbs.Insert(addr.VirtAddr(0x7f12_3456_7000), addr.Page4K, 1)
 			if bad := m.CheckShardTLBs(); len(bad) == 0 {
 				t.Fatal("stale TLB entry not detected")
 			}

@@ -290,14 +290,32 @@ func (p *process) fail(err error) {
 	p.left = 0
 }
 
-// shard is one core's MMU: the per-core translation structures every
-// quantum rebinds to the incoming process.
+// shard is one core's MMU and access pipeline: the per-core translation
+// structures every quantum rebinds to the incoming process.
 type shard struct {
-	hpt *mmu.HPT
-	rdx *mmu.Radix
+	hpt  *mmu.HPT
+	rdx  *mmu.Radix
+	tlbs *tlb.Hierarchy // the TLBs of hpt or rdx; the shared-segment path probes them directly
+	pipe sim.Pipeline   // MMU is hpt or rdx; Cache and OS follow the bound process
+	// pending is the run of private accesses queued for pipe.Step; it is
+	// drained before every shared access and by the end of each quantum.
+	pending [mmu.BatchWidth]addr.VirtAddr
+}
+
+func newShard(org sim.Org) *shard {
+	sh := &shard{}
+	if org == sim.Radix {
+		sh.rdx = mmu.NewRadix(nil, nil)
+		sh.pipe.MMU, sh.tlbs = sh.rdx, sh.rdx.TLB
+	} else {
+		sh.hpt = mmu.NewHPT(nil, nil)
+		sh.pipe.MMU, sh.tlbs = sh.hpt, sh.hpt.TLB
+	}
+	return sh
 }
 
 func (s *shard) bind(p *process) {
+	s.pipe.Cache, s.pipe.OS = p.cache, p.os
 	if s.hpt != nil {
 		s.hpt.Mem = p.cache
 		s.hpt.Bind(p.hpt)
@@ -305,22 +323,6 @@ func (s *shard) bind(p *process) {
 	}
 	s.rdx.Mem = p.cache
 	s.rdx.Bind(p.rpt)
-}
-
-func (s *shard) mmu() mmu.MMU {
-	if s.hpt != nil {
-		return s.hpt
-	}
-	return s.rdx
-}
-
-// tlbs returns the shard's TLB hierarchy (both MMU variants expose one);
-// the shared-segment path probes it directly.
-func (s *shard) tlbs() *tlb.Hierarchy {
-	if s.hpt != nil {
-		return s.hpt.TLB
-	}
-	return s.rdx.TLB
 }
 
 // sharedRegion is the machine-wide read-mostly segment: a concurrent
@@ -484,59 +486,74 @@ func newShared(cfg Config, pool *phys.Striped) (*sharedRegion, error) {
 	return s, nil
 }
 
-// runQuantum executes up to cfg.Quantum accesses of p on shard sh.
+// runQuantum executes up to cfg.Quantum accesses of p on shard sh. Each
+// access's shared/private decision is drawn from p.rng in order. Private
+// accesses queue as one pending run that goes through the shard's pipeline
+// when it fills a batch, before every shared access, and at the end of the
+// quantum, so every access still takes effect in program order.
 func runQuantum(cfg Config, p *process, sh *shard, shared *sharedRegion) {
 	n := cfg.Quantum
 	if n > p.left {
 		n = p.left
 	}
+	pending := sh.pending[:0]
 	for i := uint64(0); i < n; i++ {
 		if p.rng.Float64() < cfg.SharedFraction {
+			if !runPrivate(p, sh, pending) {
+				return // tenant failed mid-quantum
+			}
+			pending = pending[:0]
 			sharedAccess(p, sh, shared)
 			p.res.SharedAccesses++
-		} else if !privateAccess(p, sh) {
-			return // tenant failed mid-quantum
+			p.res.Accesses++
+			p.left--
+			continue
 		}
-		p.res.Accesses++
-		p.left--
+		pending = append(pending, p.nextVA())
+		if len(pending) == cap(pending) {
+			if !runPrivate(p, sh, pending) {
+				return
+			}
+			pending = pending[:0]
+		}
 	}
+	runPrivate(p, sh, pending)
 }
 
-// privateAccess replays one trace access through the shard MMU, faulting
-// on demand. It returns false when the tenant fails.
+// nextVA returns the tenant's next private trace address.
 //
 //mehpt:hotpath
-func privateAccess(p *process, sh *shard) bool {
-	var va addr.VirtAddr
-	if p.replay != nil {
-		if p.replayPos >= uint64(len(p.replay)) {
-			panic("tenant: trace exhausted before access budget")
+func (p *process) nextVA() addr.VirtAddr {
+	if p.replay == nil {
+		if va, ok := p.trace.Next(); ok {
+			return va
 		}
-		va = p.replay[p.replayPos]
+	} else if p.replayPos < uint64(len(p.replay)) {
 		p.replayPos++
-	} else {
-		var ok bool
-		va, ok = p.trace.Next()
-		if !ok {
-			// The trace is sized to the access budget; exhaustion here means
-			// the budget accounting drifted, which would silently shorten runs.
-			panic("tenant: trace exhausted before access budget")
-		}
+		return p.replay[p.replayPos-1]
 	}
-	m := sh.mmu()
-	r := m.Translate(va)
-	p.res.XlatCycles += r.Cycles
-	if r.Fault {
-		c, err := p.os.HandleFault(va) //mehpt:allow hotalloc -- fault path: a miss leaves the translation fast path by design
-		p.res.OSCycles += c
-		if err != nil {
-			p.fail(err)
-			return false
-		}
-		r = m.Translate(va)
-		p.res.XlatCycles += r.Cycles
+	// The trace is sized to the access budget; exhaustion here means the
+	// budget accounting drifted, which would silently shorten runs.
+	panic("tenant: trace exhausted before access budget")
+}
+
+// runPrivate performs the queued private accesses vas through the shard's
+// pipeline, faulting on demand. It returns false when the tenant fails; the
+// failing access does not count toward the tenant's accesses.
+//
+//mehpt:hotpath
+func runPrivate(p *process, sh *shard, vas []addr.VirtAddr) bool {
+	var c sim.Cycles
+	n, err := sh.pipe.Step(vas, &c)
+	p.res.Accesses += uint64(n)
+	p.left -= uint64(n)
+	p.res.XlatCycles += c.Xlat
+	p.res.DataCycles += c.Data
+	p.res.OSCycles += c.OS
+	if err != nil {
+		p.fail(err)
+		return false
 	}
-	p.res.DataCycles += p.cache.Access(r.PA) / sim.DataMLP
 	return true
 }
 
@@ -548,8 +565,7 @@ func privateAccess(p *process, sh *shard) bool {
 func sharedAccess(p *process, sh *shard, shared *sharedRegion) {
 	page := uint64(p.rng.Int63()) % shared.pages
 	va := SharedBaseVA + addr.VirtAddr(page*4*addr.KB)
-	tlbs := sh.tlbs()
-	res, _, lat := tlbs.Lookup(va, addr.Page4K)
+	res, _, lat := sh.tlbs.Lookup(va, addr.Page4K)
 	p.res.XlatCycles += lat
 	ppnVal, ok := shared.table.Lookup(shared.vpn(page))
 	if !ok {
@@ -564,7 +580,7 @@ func sharedAccess(p *process, sh *shard, shared *sharedRegion) {
 		// The cached payload stays coherent because every remap of a
 		// shared page shoots this entry down before publishing the new
 		// frame; CheckShardTLBs proves it.
-		tlbs.Insert(va, addr.Page4K, ppnVal)
+		sh.tlbs.Insert(va, addr.Page4K, ppnVal)
 	}
 	pa := addr.Translate(va, addr.PPN(ppnVal), addr.Page4K)
 	p.res.DataCycles += p.cache.Access(pa) / sim.DataMLP
@@ -620,7 +636,7 @@ func remapRound(cfg Config, shared *sharedRegion, procs []*process,
 		// canonical effect, but it keeps the shards honest for anyone
 		// inspecting them between rounds.
 		for _, sh := range shards {
-			sh.mmu().Invalidate(va, addr.Page4K)
+			sh.pipe.MMU.Invalidate(va, addr.Page4K)
 		}
 	}
 }
@@ -640,7 +656,7 @@ func collect(cfg Config, procs []*process, shards []*shard,
 		r.Procs = append(r.Procs, p.res)
 	}
 	for _, sh := range shards {
-		st := sh.mmu().Stats()
+		st := sh.pipe.MMU.Stats()
 		r.Walks += st.Walks
 		r.WalkCycles += st.WalkCycles
 		r.TLBHits += st.L1Hits + st.L2Hits

@@ -59,34 +59,9 @@ func TestHierarchyLookupAllocFree(t *testing.T) {
 	}
 }
 
-// TestLookupBatchAllocFree guards the batched pipeline entry point: the
-// two-pass probe, its scratch, and the slow-lane continuation must all stay
-// on the stack.
-func TestLookupBatchAllocFree(t *testing.T) {
-	h := NewTableIII()
-	var vas [BatchWidth]addr.VirtAddr
-	for i := range vas {
-		vas[i] = addr.VirtAddr(0x1000000 + i*4096)
-		h.Insert(vas[i], addr.Page4K, uint64(i))
-	}
-	// One resident at 2M so the slow lane (4K miss → larger sizes) runs too.
-	vas[BatchWidth-1] = addr.VirtAddr(0x80000000)
-	h.Insert(vas[BatchWidth-1], addr.Page2M, 7)
-	var levels [BatchWidth]Result
-	var sizes [BatchWidth]addr.PageSize
-	var pays, lats [BatchWidth]uint64
-	if n := testing.AllocsPerRun(1000, func() {
-		got, _ := h.LookupBatch(vas[:], levels[:], sizes[:], pays[:], lats[:])
-		if got != BatchWidth {
-			t.Fatalf("warm batch resolved %d/%d", got, BatchWidth)
-		}
-	}); n != 0 {
-		t.Errorf("LookupBatch allocates %v objects per call", n)
-	}
-}
-
-// TestLookupBatchPAsAllocFree guards the fused entry point the simulator's
-// trace loop drives, including its slow-lane (2M) continuation.
+// TestLookupBatchPAsAllocFree guards the batched entry point the
+// simulator's access loop drives: the two-pass probe, its scratch, and the
+// slow-lane (4K miss → 2M hit) continuation must all stay on the stack.
 func TestLookupBatchPAsAllocFree(t *testing.T) {
 	h := NewTableIII()
 	var vas [BatchWidth]addr.VirtAddr
@@ -104,5 +79,30 @@ func TestLookupBatchPAsAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("LookupBatchPAs allocates %v objects per call", n)
+	}
+}
+
+// TestLookupBatchAllocFree guards the batched entry point's stopping path:
+// a batch that runs into an element missing every structure returns the
+// resolved prefix and that element's full-miss latency without touching
+// the heap.
+func TestLookupBatchAllocFree(t *testing.T) {
+	h := NewTableIII()
+	var vas [BatchWidth]addr.VirtAddr
+	const stop = BatchWidth / 2
+	for i := range vas {
+		vas[i] = addr.VirtAddr(0x1000000 + i*4096)
+		if i != stop {
+			h.Insert(vas[i], addr.Page4K, uint64(i))
+		}
+	}
+	var pas [BatchWidth]addr.PhysAddr
+	if n := testing.AllocsPerRun(1000, func() {
+		got, _, _, missLat := h.LookupBatchPAs(vas[:], pas[:])
+		if got != stop || missLat == 0 {
+			t.Fatalf("batch stopped at %d (miss latency %d), want %d", got, missLat, stop)
+		}
+	}); n != 0 {
+		t.Errorf("LookupBatchPAs allocates %v objects per stopping call", n)
 	}
 }

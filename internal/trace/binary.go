@@ -168,18 +168,22 @@ func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 	}
 	rd := &BinaryReader{r: br, remaining: total, buf: make([]byte, stagingRecords*8)}
 	if nsec > 0 {
-		rd.secs = make([]SectionInfo, nsec)
+		// The table grows as entries arrive rather than being sized from
+		// the untrusted header, so a short file cannot demand a large
+		// allocation.
+		rd.secs = make([]SectionInfo, 0, min(nsec, 64))
 		var sum uint64
 		var ent [16]byte
-		for i := range rd.secs {
+		for i := uint32(0); i < nsec; i++ {
 			if _, err := io.ReadFull(br, ent[:]); err != nil {
 				return nil, fmt.Errorf("trace: reading section table: %w", err)
 			}
-			rd.secs[i] = SectionInfo{
+			info := SectionInfo{
 				PID:   binary.LittleEndian.Uint64(ent[:8]),
 				Count: binary.LittleEndian.Uint64(ent[8:16]),
 			}
-			next := sum + rd.secs[i].Count
+			rd.secs = append(rd.secs, info)
+			next := sum + info.Count
 			if next < sum {
 				return nil, fmt.Errorf("%w: section counts overflow", ErrBadHeader)
 			}
@@ -248,7 +252,10 @@ func (r *BinaryReader) NextBatch(out []addr.VirtAddr) (int, error) {
 }
 
 // ReadSections fully decodes a binary trace into its sections. An
-// anonymous trace decodes as a single Section with PID 0.
+// anonymous trace decodes as a single Section with PID 0. Section buffers
+// grow as records arrive instead of being sized from the header's counts,
+// so memory stays proportional to the bytes actually read: a truncated
+// file that declares more records than it holds fails with ErrTruncated.
 func ReadSections(r io.Reader) ([]Section, error) {
 	br, err := NewBinaryReader(r)
 	if err != nil {
@@ -261,7 +268,7 @@ func ReadSections(r io.Reader) ([]Section, error) {
 	out := make([]Section, len(infos))
 	var batch [256]addr.VirtAddr
 	for i, info := range infos {
-		out[i] = Section{PID: info.PID, VAs: make([]addr.VirtAddr, 0, info.Count)}
+		out[i] = Section{PID: info.PID}
 		left := info.Count
 		for left > 0 {
 			want := left

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -312,6 +314,84 @@ func FuzzBinaryReaderAdversarial(f *testing.F) {
 				}
 				return
 			}
+		}
+	})
+}
+
+// heapDelta reports the bytes f allocates on the heap. The fuzz targets
+// below use it to hold a decoder's memory to the size of its input.
+func heapDelta(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readSectionsHeapBound is the allocation budget for decoding an input of
+// n bytes: section buffers grow by doubling (a few times the record bytes),
+// plus fixed reader staging and error formatting.
+func readSectionsHeapBound(n int) uint64 { return 16*uint64(n) + 1<<20 }
+
+// TestReadSectionsDeclaredCountExceedsInput is the regression for a header
+// that declares 2^40 records in a 48-byte file: ReadSections must report
+// ErrTruncated without sizing anything from the declared count.
+func TestReadSectionsDeclaredCountExceedsInput(t *testing.T) {
+	data, err := os.ReadFile("testdata/declared-2e40-records.btrc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rerr error
+	used := heapDelta(func() { _, rerr = ReadSections(bytes.NewReader(data)) })
+	if !errors.Is(rerr, ErrTruncated) {
+		t.Fatalf("ReadSections: %v, want ErrTruncated", rerr)
+	}
+	if bound := readSectionsHeapBound(len(data)); used > bound {
+		t.Errorf("decoding %d bytes allocated %d, bound %d", len(data), used, bound)
+	}
+}
+
+// FuzzReadSections: on arbitrary input ReadSections either decodes or
+// returns a typed error — never panics — and its heap use stays
+// proportional to the bytes it was given, whatever the header declares.
+func FuzzReadSections(f *testing.F) {
+	valid := encodeSections(f, binSections())
+	var anon bytes.Buffer
+	if err := WriteBinaryVAs(&anon, []addr.VirtAddr{0x1000, 0x2000}); err != nil {
+		f.Fatal(err)
+	}
+	declared, err := os.ReadFile("testdata/declared-2e40-records.btrc")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(valid)
+	f.Add(anon.Bytes())
+	f.Add(declared)
+	f.Add(valid[:len(valid)-3])       // truncated mid-record
+	f.Add(corruptAt(valid, 14, 0x0F)) // large section count
+	f.Add(corruptAt(valid, 20, 0x7F)) // record count > stream
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var secs []Section
+		var err error
+		used := heapDelta(func() { secs, err = ReadSections(bytes.NewReader(data)) })
+		if bound := readSectionsHeapBound(len(data)); used > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), used, bound)
+		}
+		if err != nil {
+			for _, want := range []error{ErrBadMagic, ErrBadVersion, ErrBadHeader, ErrTruncated, io.ErrUnexpectedEOF, io.EOF} {
+				if errors.Is(err, want) {
+					return
+				}
+			}
+			t.Fatalf("untyped error: %v", err)
+		}
+		records := 0
+		for _, s := range secs {
+			records += len(s.VAs)
+		}
+		if records > len(data)/8 {
+			t.Fatalf("%d records from %d input bytes", records, len(data))
 		}
 	})
 }
