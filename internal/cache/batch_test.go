@@ -9,8 +9,7 @@ import (
 
 // batchTestPAs builds a physical-address stream mixing L1-resident reuse,
 // an L2/L3-sized working set, and DRAM-wide strides, so every lane of the
-// batched pipeline (L1 hit, inline L2 probe, outer-level walk, DRAM fill)
-// is exercised.
+// level walk (L1 hit, L2 hit, L3 hit, DRAM fill) is exercised.
 func batchTestPAs(seed int64, n int) []addr.PhysAddr {
 	rng := rand.New(rand.NewSource(seed))
 	pas := make([]addr.PhysAddr, n)
@@ -28,9 +27,9 @@ func batchTestPAs(seed int64, n int) []addr.PhysAddr {
 }
 
 // TestAccessBatchMatchesScalar is the batched data path's differential twin:
-// AccessBatch over arbitrary (including zero, single, and non-multiple-of-
-// chunk) segment lengths must produce the same latencies, hit/miss counters,
-// and DRAM count as sequential Access calls on an identical hierarchy.
+// AccessBatch over arbitrary (including zero and single) segment lengths
+// must produce the same latencies, hit/miss counters, and DRAM count as
+// sequential Access calls on an identical hierarchy.
 func TestAccessBatchMatchesScalar(t *testing.T) {
 	scalar := NewHierarchy(TableIII())
 	batch := NewHierarchy(TableIII())
@@ -74,8 +73,8 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestAccessBatchAllocFree guards the batched data path: the chunk scratch
-// is stack-sized and the stats flush is scalar, so a full-width batch must
+// TestAccessBatchAllocFree guards the batched data path: the level walk's
+// per-access miss records live on the stack, so a full-width batch must
 // not allocate.
 func TestAccessBatchAllocFree(t *testing.T) {
 	h := NewHierarchy(TableIII())

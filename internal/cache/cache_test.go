@@ -6,42 +6,61 @@ import (
 	"repro/internal/addr"
 )
 
-func TestHitAfterFill(t *testing.T) {
-	c := New(Config{SizeBytes: 4 * addr.KB, Ways: 4, LineBytes: 64, Latency: 2})
-	pa := addr.PhysAddr(0x1000)
-	if c.Lookup(pa) {
-		t.Fatal("cold lookup hit")
+// tinyConfig is a hierarchy whose L1 is 2 sets × 2 ways of 64B lines, so
+// a handful of accesses exercises its LRU; the outer levels are large
+// enough that nothing the tests touch is evicted from them.
+func tinyConfig() HierarchyConfig {
+	return HierarchyConfig{
+		L1:          Config{SizeBytes: 256, Ways: 2, LineBytes: 64, Latency: 1},
+		L2:          Config{SizeBytes: 64 * addr.KB, Ways: 8, LineBytes: 64, Latency: 10},
+		L3:          Config{SizeBytes: 256 * addr.KB, Ways: 16, LineBytes: 64, Latency: 40},
+		DRAMLatency: 100,
 	}
-	c.Fill(pa)
-	if !c.Lookup(pa) {
-		t.Fatal("lookup after fill missed")
+}
+
+func TestHitAfterFill(t *testing.T) {
+	h := NewHierarchy(tinyConfig())
+	pa := addr.PhysAddr(0x1000)
+	if lat := h.Access(pa); lat != 100 {
+		t.Fatalf("cold access latency = %d, want 100 (DRAM fill)", lat)
+	}
+	if lat := h.Access(pa); lat != 1 {
+		t.Fatalf("access after fill latency = %d, want 1 (L1 hit)", lat)
 	}
 	// Same line, different byte.
-	if !c.Lookup(pa + 63) {
-		t.Fatal("same-line lookup missed")
+	if lat := h.Access(pa + 63); lat != 1 {
+		t.Fatalf("same-line access latency = %d, want 1", lat)
 	}
-	if c.Lookup(pa + 64) {
-		t.Fatal("next-line lookup hit")
+	if lat := h.Access(pa + 64); lat != 100 {
+		t.Fatalf("next-line access latency = %d, want 100", lat)
+	}
+	if got, want := h.Level(0).Stats(), (Stats{Hits: 2, Misses: 2}); got != want {
+		t.Errorf("L1 stats = %+v, want %+v", got, want)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
-	// Direct-mapped-ish: 2 ways, 2 sets of 64B lines = 256B cache.
-	c := New(Config{SizeBytes: 256, Ways: 2, LineBytes: 64, Latency: 1})
-	// Three lines mapping to the same set (stride = sets*64 = 128).
+	h := NewHierarchy(tinyConfig())
+	// Three lines mapping to the same L1 set (stride = sets*64 = 128).
 	a, b, d := addr.PhysAddr(0), addr.PhysAddr(128), addr.PhysAddr(256)
-	c.Fill(a)
-	c.Fill(b)
-	c.Lookup(a) // make a MRU
-	c.Fill(d)   // evicts b (LRU)
-	if !c.Lookup(a) {
-		t.Error("MRU line evicted")
+	h.Access(a)
+	h.Access(b)
+	h.Access(a) // make a MRU
+	h.Access(d) // evicts b (LRU) from L1
+	if lat := h.Access(a); lat != 1 {
+		t.Errorf("MRU line evicted: latency %d", lat)
 	}
-	if c.Lookup(b) {
-		t.Error("LRU line survived")
+	if lat := h.Access(d); lat != 1 {
+		t.Errorf("new line missing: latency %d", lat)
 	}
-	if !c.Lookup(d) {
-		t.Error("new line missing")
+	if lat := h.Access(b); lat != 10 {
+		t.Errorf("LRU line: latency %d, want 10 (evicted from L1, still in L2)", lat)
+	}
+	if got, want := h.Level(0).Stats(), (Stats{Hits: 3, Misses: 4}); got != want {
+		t.Errorf("L1 stats = %+v, want %+v", got, want)
+	}
+	if got, want := h.Level(1).Stats(), (Stats{Hits: 1, Misses: 3}); got != want {
+		t.Errorf("L2 stats = %+v, want %+v", got, want)
 	}
 }
 
@@ -71,22 +90,6 @@ func TestHierarchyL2Hit(t *testing.T) {
 	lat := h.Access(target)
 	if lat != 16 {
 		t.Errorf("latency after L1 eviction = %d, want 16 (L2)", lat)
-	}
-}
-
-func TestPeekDoesNotMutate(t *testing.T) {
-	h := NewHierarchy(TableIII())
-	pa := addr.PhysAddr(0x9000)
-	if got := h.Peek(pa); got != 200 {
-		t.Errorf("cold Peek = %d, want 200", got)
-	}
-	// Peek must not fill.
-	if got := h.Peek(pa); got != 200 {
-		t.Errorf("second Peek = %d, want 200 (no fill)", got)
-	}
-	h.Access(pa)
-	if got := h.Peek(pa); got != 2 {
-		t.Errorf("Peek after access = %d, want 2", got)
 	}
 }
 

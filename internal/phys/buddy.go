@@ -73,8 +73,11 @@ func NewMemory(capacityBytes uint64) *Memory {
 	if hi := bits.Len64(frames) - 1; hi < m.maxOrder {
 		m.maxOrder = hi
 	}
-	for i := range m.headOrder {
-		m.headOrder[i] = noBlock
+	// Mark every frame noBlock by doubling copies: a byte-at-a-time loop
+	// over a striped machine's frames dominated tenant machine set-up.
+	m.headOrder[0] = noBlock
+	for i := 1; i < len(m.headOrder); i *= 2 {
+		copy(m.headOrder[i:], m.headOrder[:i])
 	}
 	m.stats.AllocsBySize = make(map[uint64]uint64)
 	// Seed the free lists with maximal aligned blocks covering the range.

@@ -60,8 +60,8 @@ func TestHierarchyLookupAllocFree(t *testing.T) {
 }
 
 // TestLookupBatchPAsAllocFree guards the batched entry point the
-// simulator's access loop drives: the two-pass probe, its scratch, and the
-// slow-lane (4K miss → 2M hit) continuation must all stay on the stack.
+// simulator's access loop drives: the inline 4K L1 probe and the per-size
+// continuation (4K miss → 2M hit) must both stay off the heap.
 func TestLookupBatchPAsAllocFree(t *testing.T) {
 	h := NewTableIII()
 	var vas [BatchWidth]addr.VirtAddr

@@ -73,6 +73,22 @@ func (t *TLB) setBase(vpn addr.VPN) uint64 {
 	return (uint64(vpn) % t.sets) * uint64(t.ways)
 }
 
+// probe scans set once for want. On a hit it returns want's slot and true;
+// on a miss it returns the set's valid-slot count — the position an insert
+// of want starts from — and false. Empties are a suffix of the set, so the
+// scan stops at the first zero.
+func probe(set []uint64, want uint64) (int, bool) {
+	for i, tag := range set {
+		if tag == want {
+			return i, true
+		}
+		if tag == 0 {
+			return i, false
+		}
+	}
+	return len(set), false
+}
+
 // promote2 moves slot i of a tag/payload set pair to the MRU front. The
 // explicit backward shift replaces copy(): promotion distances are tiny
 // (usually one slot), where two memmove calls cost more than the moves.
@@ -93,18 +109,12 @@ func promote2(set, pays []uint64, i int) {
 func (t *TLB) Lookup(vpn addr.VPN) (uint64, bool) {
 	base := t.setBase(vpn)
 	set := t.tags[base : base+uint64(t.ways)]
-	want := uint64(vpn) + 1
-	for i, tag := range set {
-		if tag == 0 {
-			break // empties are a suffix: the rest of the set is empty
-		}
-		if tag == want {
-			pays := t.pays[base : base+uint64(t.ways)]
-			pay := pays[i]
-			promote2(set, pays, i)
-			t.stats.Hits++
-			return pay, true
-		}
+	if i, ok := probe(set, uint64(vpn)+1); ok {
+		pays := t.pays[base : base+uint64(t.ways)]
+		pay := pays[i]
+		promote2(set, pays, i)
+		t.stats.Hits++
+		return pay, true
 	}
 	t.stats.Misses++
 	return 0, false
@@ -117,18 +127,11 @@ func (t *TLB) Insert(vpn addr.VPN, pay uint64) {
 	base := t.setBase(vpn)
 	set := t.tags[base : base+uint64(t.ways)]
 	pays := t.pays[base : base+uint64(t.ways)]
-	want := uint64(vpn) + 1
-	n := len(set)
-	for i, tag := range set {
-		if tag == 0 {
-			n = i
-			break
-		}
-		if tag == want {
-			pays[i] = pay
-			promote2(set, pays, i)
-			return
-		}
+	n, ok := probe(set, uint64(vpn)+1)
+	if ok {
+		pays[n] = pay
+		promote2(set, pays, n)
+		return
 	}
 	if n == len(set) {
 		n-- // set full: shifting right drops the LRU tail
@@ -137,26 +140,19 @@ func (t *TLB) Insert(vpn addr.VPN, pay uint64) {
 		set[n] = set[n-1]
 		pays[n] = pays[n-1]
 	}
-	set[0], pays[0] = want, pay
+	set[0], pays[0] = uint64(vpn)+1, pay
 }
 
 // Invalidate removes vpn if present (TLB shootdown on unmap).
 func (t *TLB) Invalidate(vpn addr.VPN) {
 	base := t.setBase(vpn)
 	set := t.tags[base : base+uint64(t.ways)]
-	want := uint64(vpn) + 1
-	for i, tag := range set {
-		if tag == 0 {
-			return
-		}
-		if tag == want {
-			pays := t.pays[base : base+uint64(t.ways)]
-			copy(set[i:], set[i+1:])
-			set[len(set)-1] = 0
-			copy(pays[i:], pays[i+1:])
-			pays[len(pays)-1] = 0
-			return
-		}
+	if i, ok := probe(set, uint64(vpn)+1); ok {
+		pays := t.pays[base : base+uint64(t.ways)]
+		copy(set[i:], set[i+1:])
+		set[len(set)-1] = 0
+		copy(pays[i:], pays[i+1:])
+		pays[len(pays)-1] = 0
 	}
 }
 
@@ -173,11 +169,6 @@ func (t *TLB) Latency() uint64 { return t.cfg.Latency }
 
 // Stats returns hit/miss counters.
 func (t *TLB) Stats() Stats { return t.stats }
-
-// probeGroup is how many elements LookupBatchPAs indexes ahead of its tag
-// compares: enough set loads to overlap, few enough that a batch stopping
-// at an early full miss has not indexed the rest of the batch for nothing.
-const probeGroup = 8
 
 // BatchWidth is the pipeline width of the batched translation path: the
 // sim loop hands the MMU up to this many accesses per call and sizes its
@@ -271,13 +262,10 @@ func (h *Hierarchy) lookupVAFrom4KMiss(va addr.VirtAddr) (Result, addr.PageSize,
 	return MissAll, 0, 0, miss
 }
 
-// LookupBatchPAs resolves the longest all-hit prefix of vas, software-
-// pipelined: set indices for the common-case probe (L1, 4K pages) are
-// computed for a group of probeGroup elements first, then their tags are
-// compared in a second pass so the set loads overlap instead of
-// serializing behind each probe.
-// Elements that miss the 4K L1 fall through to the same per-size
-// continuation the scalar LookupVA uses.
+// LookupBatchPAs resolves the longest all-hit prefix of vas in one pass,
+// probing each element in order: the common case (an L1 hit on a 4K page)
+// is probed inline, and an element that misses the 4K L1 falls through to
+// the same per-size continuation the scalar LookupVA uses.
 //
 // pas[i] receives the translated address of each resolved element i < n,
 // exactly what LookupVA's payload composes to. It stops at the first
@@ -293,62 +281,38 @@ func (h *Hierarchy) LookupBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (in
 		vas = vas[:BatchWidth]
 	}
 	t1 := h.l1[addr.Page4K]
-	ways := uint64(t1.ways)
-	lat1 := t1.cfg.Latency
-	// Hoisting the tag/payload arrays into locals keeps their headers in
-	// registers: the compiler cannot prove the pas stores don't alias them.
-	tags, pays := t1.tags, t1.pays
-	// hits1 counts fast-lane 4K L1 hits (flushed to t1's counter once);
-	// l1Slow counts slow-lane hits that still landed in an L1 structure
+	// hits1 counts inline 4K L1 hits (flushed to t1's counter once);
+	// l1Slow counts continuation hits that still landed in an L1 structure
 	// (larger page sizes) — the returned L1 total needs both.
 	var hits1, l1Slow, latSum uint64
-	var baseBuf, wantBuf [probeGroup]uint64
-	for g := 0; g < len(vas); g += probeGroup {
-		grp := vas[g:min(g+probeGroup, len(vas))]
-		for k, va := range grp {
-			vpn := va.PageNumber(addr.Page4K)
-			baseBuf[k] = t1.setBase(vpn)
-			wantBuf[k] = uint64(vpn) + 1
+	for i, va := range vas {
+		vpn := va.PageNumber(addr.Page4K)
+		base := t1.setBase(vpn)
+		set := t1.tags[base : base+uint64(t1.ways)]
+		if j, ok := probe(set, uint64(vpn)+1); ok {
+			pays := t1.pays[base : base+uint64(t1.ways)]
+			pay := pays[j]
+			promote2(set, pays, j)
+			hits1++
+			pas[i] = addr.Translate(va, addr.PPN(pay), addr.Page4K)
+			continue
 		}
-		for k, va := range grp {
-			base, want := baseBuf[k], wantBuf[k]
-			set := tags[base : base+ways]
-			hit := -1
-			for j, tag := range set {
-				if tag == 0 {
-					break
-				}
-				if tag == want {
-					hit = j
-					break
-				}
-			}
-			i := g + k
-			if hit >= 0 {
-				pp := pays[base : base+ways]
-				pay := pp[hit]
-				promote2(set, pp, hit)
-				hits1++
-				pas[i] = addr.Translate(va, addr.PPN(pay), addr.Page4K)
-				continue
-			}
-			// Slow lane: count the 4K L1 miss exactly as TLB.Lookup would,
-			// then run the scalar continuation for the remaining structures.
-			t1.stats.Misses++
-			r, s, pay, lat := h.lookupVAFrom4KMiss(va)
-			if r == MissAll {
-				t1.stats.Hits += hits1
-				return i, hits1 + l1Slow, latSum + hits1*lat1, lat
-			}
-			if r == HitL1 {
-				l1Slow++
-			}
-			latSum += lat
-			pas[i] = addr.Translate(va, addr.PPN(pay), s)
+		// Count the 4K L1 miss exactly as TLB.Lookup would, then run the
+		// scalar continuation for the remaining structures.
+		t1.stats.Misses++
+		r, s, pay, lat := h.lookupVAFrom4KMiss(va)
+		if r == MissAll {
+			t1.stats.Hits += hits1
+			return i, hits1 + l1Slow, latSum + hits1*t1.cfg.Latency, lat
 		}
+		if r == HitL1 {
+			l1Slow++
+		}
+		latSum += lat
+		pas[i] = addr.Translate(va, addr.PPN(pay), s)
 	}
 	t1.stats.Hits += hits1
-	return len(vas), hits1 + l1Slow, latSum + hits1*lat1, 0
+	return len(vas), hits1 + l1Slow, latSum + hits1*t1.cfg.Latency, 0
 }
 
 // Insert installs a completed translation (payload pay, the PPN) into both

@@ -153,9 +153,14 @@ const sparseStride = 0x9E3779B97F4A7C15
 
 // PageVA returns the virtual address of the i-th touched page in
 // first-touch order.
-func (s Spec) PageVA(i uint64) addr.VirtAddr {
+func (s Spec) PageVA(i uint64) addr.VirtAddr { return s.pageVA(i, s.universePages()-1) }
+
+// pageVA is PageVA with the sparse universe's index mask (universePages
+// is a power of two, so the mask is universePages()-1) computed by the
+// caller, once per iteration or trace rather than once per page.
+func (s *Spec) pageVA(i, universeMask uint64) addr.VirtAddr {
 	if s.Kind == Sparse {
-		page := (i * sparseStride) % s.universePages()
+		page := (i * sparseStride) & universeMask
 		return BaseVA + addr.VirtAddr(page*4*addr.KB)
 	}
 	return BaseVA + addr.VirtAddr(i*4*addr.KB)
@@ -165,9 +170,9 @@ func (s Spec) PageVA(i uint64) addr.VirtAddr {
 // f for each. Experiment drivers use it to populate page tables at full
 // scale. f returning false stops the iteration.
 func (s Spec) TouchedPageVAs(f func(va addr.VirtAddr) bool) {
-	n := s.touchedPages()
+	n, mask := s.touchedPages(), s.universePages()-1
 	for i := uint64(0); i < n; i++ {
-		if !f(s.PageVA(i)) {
+		if !f(s.pageVA(i, mask)) {
 			return
 		}
 	}
@@ -186,12 +191,34 @@ type Trace struct {
 	// sequential cursor state
 	curPage uint64 // index into touched pages
 	curOff  uint64
+	// Spec-derived constants, computed once per trace instead of per access.
+	//mehpt:transient -- derived from the spec by newTrace on restore
+	pages uint64 // touched page count
+	//mehpt:transient -- derived from the spec by newTrace on restore
+	hotPages uint64 // hot working-set pages, at most pages
+	//mehpt:transient -- derived from the spec by newTrace on restore
+	universeMask uint64 // universePages()-1, for sparse page scatter
+}
+
+// newTrace returns a trace of spec over src, with the spec-derived
+// constants filled in.
+func (s Spec) newTrace(src *snapshot.Source, n uint64) *Trace {
+	hot := s.HotBytes
+	if hot == 0 {
+		hot = 256 * addr.KB
+	}
+	pages := s.touchedPages()
+	return &Trace{
+		spec: s, src: src, rng: rand.New(src), n: n,
+		pages:        pages,
+		hotPages:     min(hot/(4*addr.KB), pages),
+		universeMask: s.universePages() - 1,
+	}
 }
 
 // NewTrace creates a trace of n accesses with the given seed.
 func (s Spec) NewTrace(seed int64, n uint64) *Trace {
-	src := snapshot.NewSource(seed)
-	return &Trace{spec: s, src: src, rng: rand.New(src), n: n}
+	return s.newTrace(snapshot.NewSource(seed), n)
 }
 
 // TraceState is the serializable position of a Trace: the generator stream
@@ -218,16 +245,9 @@ func (t *Trace) State() TraceState {
 
 // RestoreTrace recreates a trace of spec at the recorded position.
 func (s Spec) RestoreTrace(st TraceState) *Trace {
-	src := snapshot.RestoreSource(st.RNG)
-	return &Trace{
-		spec:    s,
-		src:     src,
-		rng:     rand.New(src),
-		n:       st.N,
-		emitted: st.Emitted,
-		curPage: st.CurPage,
-		curOff:  st.CurOff,
-	}
+	t := s.newTrace(snapshot.RestoreSource(st.RNG), st.N)
+	t.emitted, t.curPage, t.curOff = st.Emitted, st.CurPage, st.CurOff
+	return t
 }
 
 // Len returns the total number of accesses the trace will produce.
@@ -239,22 +259,14 @@ func (t *Trace) Next() (addr.VirtAddr, bool) {
 		return 0, false
 	}
 	t.emitted++
-	s := t.spec
-	pages := s.touchedPages()
+	s := &t.spec
+	pages := t.pages
 	// Hot-set access: a reference into the small resident working set at
 	// the front of the touched region.
 	if s.HotFraction > 0 && t.rng.Float64() < s.HotFraction {
-		hot := s.HotBytes
-		if hot == 0 {
-			hot = 256 * addr.KB
-		}
-		hotPages := hot / (4 * addr.KB)
-		if hotPages > pages {
-			hotPages = pages
-		}
-		pg := uint64(t.rng.Int63()) % hotPages
+		pg := uint64(t.rng.Int63()) % t.hotPages
 		off := (uint64(t.rng.Int63()) % (4 * addr.KB)) &^ 7
-		return s.PageVA(pg) + addr.VirtAddr(off), true
+		return s.pageVA(pg, t.universeMask) + addr.VirtAddr(off), true
 	}
 	if t.rng.Float64() >= s.SeqFraction {
 		// Random jump.
@@ -285,7 +297,7 @@ func (t *Trace) Next() (addr.VirtAddr, bool) {
 			}
 		}
 	}
-	return s.PageVA(t.curPage) + addr.VirtAddr(t.curOff), true
+	return s.pageVA(t.curPage, t.universeMask) + addr.VirtAddr(t.curOff), true
 }
 
 // NextBatch fills out with the next accesses of the trace and returns how
