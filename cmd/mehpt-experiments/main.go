@@ -367,17 +367,19 @@ func main() {
 		rec.Record("job_failures", failures.Failures())
 	}
 
-	// Suite-level throughput and allocation meter. The alloc counter is
-	// process-wide (runtime/metrics), so it includes table construction and
-	// reporting — a coarse regression signal, with the per-path precision
-	// left to the AllocsPerRun test guards. Not recorded into -json: its
-	// values are machine-dependent and the JSON output is fingerprinted.
+	// Suite-level wall time, peak memory, throughput and allocation meter.
+	// The alloc counter is process-wide (runtime/metrics), so it includes
+	// table construction and reporting — a coarse regression signal, with
+	// the per-path precision left to the AllocsPerRun test guards. Not
+	// recorded into -json: these values are machine-dependent and the JSON
+	// output is fingerprinted.
+	elapsed := time.Since(suiteStart)
 	if total := tally.Load(); total > 0 {
-		elapsed := time.Since(suiteStart)
 		fmt.Printf("simulated %d accesses in %s (%.2fM acc/s, %.2f heap allocs/access)\n",
 			total, elapsed.Round(time.Millisecond),
 			float64(total)/elapsed.Seconds()/1e6, meter.PerAccess(total))
 	}
+	fmt.Printf("suite took %s%s\n", elapsed.Round(time.Millisecond), peakRSSNote())
 
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
@@ -413,4 +415,26 @@ func main() {
 		exitf(3)
 	}
 	exitf(0)
+}
+
+// peakRSSNote returns ", peak RSS <n> MB" from the process's resident-memory
+// high-water mark (VmHWM in /proc/self/status), or "" where the kernel does
+// not report it.
+func peakRSSNote() string {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return ""
+	}
+	for _, ln := range strings.Split(string(b), "\n") {
+		f := strings.Fields(ln)
+		if len(f) < 2 || f[0] != "VmHWM:" {
+			continue
+		}
+		kb, err := strconv.ParseUint(f[1], 10, 64)
+		if err != nil {
+			return ""
+		}
+		return fmt.Sprintf(", peak RSS %d MB", kb/1024)
+	}
+	return ""
 }

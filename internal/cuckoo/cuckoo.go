@@ -272,25 +272,27 @@ func (t *Table) WayOf(key uint64) (int, bool) {
 // Lookup returns the value stored for key.
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
-	v, _, ok := t.LookupWay(key)
+	v, _, _, _, ok := t.LookupWay(key)
 	return v, ok
 }
 
-// LookupWay is Lookup additionally reporting the way that hit — the fused
-// walk uses it to avoid a second full probe sweep (WayOf) per translation.
-// Its statistics footprint is identical to Lookup's.
+// LookupWay is Lookup additionally reporting where the key sits: its way,
+// whether that way is the resize target, and the slot index — what Probe
+// returns for the winning way. The fused walk uses it instead of a second
+// probe sweep (WayOf) and a second hash (Probe) per translation. Its
+// statistics footprint is identical to Lookup's.
 //mehpt:hotpath
-func (t *Table) LookupWay(key uint64) (uint64, int, bool) {
+func (t *Table) LookupWay(key uint64) (val uint64, way int, inNext bool, idx uint64, ok bool) {
 	t.stats.Lookups++
 	crc := t.mixer.CRC(key)
 	for i := 0; i < t.cfg.Ways; i++ {
 		w, idx := t.locateHash(i, t.mixer.HashAt(i, crc))
 		t.stats.ProbeSlots++
 		if w.slots[idx].Key == key {
-			return w.slots[idx].Val, i, true
+			return w.slots[idx].Val, i, w != t.cur[i], idx, true
 		}
 	}
-	return 0, 0, false
+	return 0, 0, false, 0, false
 }
 
 // Insert adds key with value val. If key is already present its value is

@@ -207,9 +207,17 @@ func (t *Table) Insert(key, val uint64) (int, error) { return t.tb.Insert(key, v
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) { return t.tb.Lookup(key) }
 
-// LookupWay is Lookup additionally reporting the way that hit, with the
-// same statistics footprint.
-func (t *Table) LookupWay(key uint64) (uint64, int, bool) { return t.tb.LookupWay(key) }
+// LookupProbe is Lookup additionally returning the physical address of the
+// winning way's probe slot (ProbeAddr of the way that hit), with the same
+// statistics footprint. The lookup's one hash places the probe too.
+//mehpt:hotpath
+func (t *Table) LookupProbe(key uint64) (uint64, addr.PhysAddr, bool) {
+	val, way, inNext, idx, ok := t.tb.LookupWay(key)
+	if !ok {
+		return 0, 0, false
+	}
+	return val, t.slotPA(way, inNext, idx), true
+}
 
 // Delete removes key.
 func (t *Table) Delete(key uint64) bool { return t.tb.Delete(key) }
@@ -221,12 +229,18 @@ func (t *Table) WayOf(key uint64) (int, bool) { return t.tb.WayOf(key) }
 // touches, resolving through the rehash pointers to old or new ways.
 func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
 	inNext, idx := t.tb.Probe(i, key)
+	return t.slotPA(i, inNext, idx)
+}
+
+// slotPA returns the physical address of slot idx of way i, in the resize
+// target's way group when inNext.
+//mehpt:hotpath
+func (t *Table) slotPA(i int, inNext bool, idx uint64) addr.PhysAddr {
 	gi := 0
 	if inNext {
 		gi = len(t.groups) - 1
 	}
-	g := t.groups[gi]
-	return g.bases[i].Addr(addr.Page4K) + addr.PhysAddr(idx*pt.EntryBytes)
+	return t.groups[gi].bases[i].Addr(addr.Page4K) + addr.PhysAddr(idx*pt.EntryBytes)
 }
 
 // Free releases all physical memory (process teardown). A drain failure is

@@ -152,7 +152,7 @@ func (p *PageTable) Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 		}
 		vpn := va.PageNumber(s)
 		key := pt.ClusterKey(vpn)
-		id, way, ok := t.LookupWay(key)
+		id, pa, ok := t.LookupProbe(key)
 		if !ok {
 			continue
 		}
@@ -160,7 +160,7 @@ func (p *PageTable) Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 		if !valid {
 			continue
 		}
-		return pt.Translation{PPN: ppn, Size: s}, t.ProbeAddr(way, key), true
+		return pt.Translation{PPN: ppn, Size: s}, pa, true
 	}
 	return pt.Translation{}, 0, false
 }

@@ -151,11 +151,8 @@ func (p *PageTable) Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 		vpn := va.PageNumber(s)
 		key := pt.ClusterKey(vpn)
 		t.stats.Lookups++ // mirrors Table.Lookup
-		wi, idx, inWay := t.lookupSlot(key)
-		var id uint64
-		if inWay {
-			id = t.ways[wi].slots[idx].Val
-		} else {
+		wi, idx, id, inWay := t.lookupSlot(key)
+		if !inWay {
 			si := t.stashIndex(key)
 			if si < 0 {
 				continue
@@ -213,7 +210,7 @@ func (p *PageTable) WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool) {
 	if t == nil {
 		return 0, false
 	}
-	i, _, ok := t.lookupSlot(pt.ClusterKey(va.PageNumber(s)))
+	i, _, _, ok := t.lookupSlot(pt.ClusterKey(va.PageNumber(s)))
 	return i, ok
 }
 

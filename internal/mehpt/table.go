@@ -266,19 +266,19 @@ func (t *Table) Resizing() bool {
 	return false
 }
 
-// lookupSlot finds the way index and slot index holding key. One CRC pass
-// serves all W probes (hashfn.Mixer); each way reuses its hash across the
-// old and new index masks during resizes.
+// lookupSlot finds the way index and slot index holding key, and the
+// value stored there. One CRC pass serves all W probes (hashfn.Mixer); each
+// way reuses its hash across the old and new index masks during resizes.
 //mehpt:hotpath
-func (t *Table) lookupSlot(key uint64) (int, uint64, bool) {
+func (t *Table) lookupSlot(key uint64) (wi int, idx, val uint64, ok bool) {
 	crc := t.mixer.CRC(key)
 	for i, w := range t.ways {
 		idx := w.locateHash(t.mixer.HashAt(i, crc))
-		if w.slots[idx].Key == key {
-			return i, idx, true
+		if e := w.slots[idx]; e.Key == key {
+			return i, idx, e.Val, true
 		}
 	}
-	return 0, 0, false
+	return 0, 0, 0, false
 }
 
 // stashIndex returns the stash position of key, or -1.
@@ -297,8 +297,8 @@ func (t *Table) stashIndex(key uint64) int {
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
 	t.stats.Lookups++
-	if i, idx, ok := t.lookupSlot(key); ok {
-		return t.ways[i].slots[idx].Val, true
+	if _, _, val, ok := t.lookupSlot(key); ok {
+		return val, true
 	}
 	if si := t.stashIndex(key); si >= 0 {
 		return t.stash[si].Val, true
@@ -309,7 +309,7 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 // Insert stores key→val, resizing as needed. It returns the cycle cost of
 // any physical allocations plus the number of cuckoo re-insertions.
 func (t *Table) Insert(key, val uint64) (kicks int, cycles uint64, err error) {
-	if i, idx, ok := t.lookupSlot(key); ok {
+	if i, idx, _, ok := t.lookupSlot(key); ok {
 		t.ways[i].slots[idx].Val = val
 		return 0, 0, nil
 	}
@@ -335,7 +335,7 @@ func (t *Table) Insert(key, val uint64) (kicks int, cycles uint64, err error) {
 
 // Delete removes key, reporting whether it was present.
 func (t *Table) Delete(key uint64) (uint64, bool) {
-	i, idx, ok := t.lookupSlot(key)
+	i, idx, _, ok := t.lookupSlot(key)
 	if !ok {
 		if si := t.stashIndex(key); si >= 0 {
 			t.stash = append(t.stash[:si], t.stash[si+1:]...)

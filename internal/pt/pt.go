@@ -9,11 +9,7 @@
 // makes the tag memory-free, which is what makes HPTs competitive.
 package pt
 
-import (
-	"fmt"
-
-	"repro/internal/addr"
-)
+import "repro/internal/addr"
 
 // EntryBytes is the size of one clustered HPT slot: a 64-byte cache line.
 const EntryBytes = 64
@@ -72,38 +68,11 @@ func (c *Cluster) Count() int {
 }
 
 // Slab stores cluster payloads and hands out stable 64-bit ids that fit in a
-// cuckoo table's value word. The zero value is ready to use.
+// cuckoo table's value word. Clusters never move: a pointer from At stays
+// valid across later Allocs. The zero value is ready to use.
 type Slab struct {
-	clusters []Cluster
-	free     []uint64
+	Arena[Cluster]
 }
-
-// Alloc returns the id of a zeroed cluster.
-func (s *Slab) Alloc() uint64 {
-	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.clusters[id] = Cluster{}
-		return id
-	}
-	s.clusters = append(s.clusters, Cluster{})
-	return uint64(len(s.clusters) - 1)
-}
-
-// At returns the cluster with the given id. The pointer is invalidated by
-// the next Alloc.
-func (s *Slab) At(id uint64) *Cluster {
-	if id >= uint64(len(s.clusters)) {
-		panic(fmt.Sprintf("pt: slab id %d out of range", id))
-	}
-	return &s.clusters[id]
-}
-
-// Free recycles id.
-func (s *Slab) Free(id uint64) { s.free = append(s.free, id) }
-
-// Live returns the number of clusters currently allocated.
-func (s *Slab) Live() int { return len(s.clusters) - len(s.free) }
 
 // Step is one sequential stage of a page walk. Accesses within a step are
 // issued in parallel (e.g. probing all HPT ways at once); the walk latency

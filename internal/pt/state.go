@@ -12,18 +12,12 @@ type SlabState struct {
 // State returns a deep copy of the slab's contents.
 func (s *Slab) State() SlabState {
 	st := SlabState{
-		Clusters: make([]Cluster, len(s.clusters)),
+		Clusters: s.Arena.elems(),
 		Free:     make([]uint64, len(s.free)),
 	}
-	copy(st.Clusters, s.clusters)
 	copy(st.Free, s.free)
 	return st
 }
 
 // Restore replaces the slab's contents with the recorded state.
-func (s *Slab) Restore(st SlabState) {
-	s.clusters = make([]Cluster, len(st.Clusters))
-	copy(s.clusters, st.Clusters)
-	s.free = make([]uint64, len(st.Free))
-	copy(s.free, st.Free)
-}
+func (s *Slab) Restore(st SlabState) { s.Arena.reset(st.Clusters, st.Free) }

@@ -44,18 +44,47 @@ func leafLevel(s addr.PageSize) int {
 	panic(fmt.Sprintf("radix: invalid page size %v", s))
 }
 
-type entry struct {
-	present bool
-	huge    bool // leaf at a non-PTE level
-	child   *node
-	ppn     addr.PPN
+// An entry is one 8-byte word laid out like an x86-64 PTE: bit 0 is the
+// present bit, bit 7 (PS) marks a huge leaf, and bits 12 and up hold a
+// leaf's PPN or, for an entry that points down the tree, the child node's
+// arena id. A level-0 entry is always a leaf.
+const (
+	present   uint64 = 1 << 0
+	huge      uint64 = 1 << 7
+	addrShift        = 12
+	// maxPPN is the largest PPN an entry can hold.
+	maxPPN = 1<<(64-addrShift) - 1
+)
+
+func leafEntry(ppn addr.PPN, isHuge bool) uint64 {
+	e := uint64(ppn)<<addrShift | present
+	if isHuge {
+		e |= huge
+	}
+	return e
 }
 
+func tableEntry(child uint64) uint64 { return child<<addrShift | present }
+
+// target returns an entry's PPN (leaf) or child node id (table entry).
+func target(e uint64) uint64 { return e >> addrShift }
+
+// isTable reports whether e points to a child node, given that e sits
+// above level 0.
+func isTable(e uint64) bool { return e&(present|huge) == present }
+
+// node is one tree node: 4KB of entries, exactly the frame it models, plus
+// the frame's number and the present-entry count. It holds no pointers, so
+// the collector never scans a page table.
 type node struct {
+	entries [EntriesPerNode]uint64
 	frame   addr.PPN // physical frame backing this node
-	entries [EntriesPerNode]entry
-	used    int // number of present entries, for teardown accounting
+	used    int      // number of present entries, for teardown accounting
 }
+
+// rootID is the root's arena id: the root is the first node allocated and
+// is only freed with the whole tree.
+const rootID = 0
 
 // Stats aggregates the allocation behaviour of the tree.
 type Stats struct {
@@ -65,9 +94,11 @@ type Stats struct {
 	MaxContiguousAlloc uint64 // always 4KB by construction
 }
 
-// PageTable is one process's radix-tree page table.
+// PageTable is one process's radix-tree page table. Nodes live in an
+// arena and refer to each other by id; the root is id 0, and an empty arena
+// means the tree has been freed.
 type PageTable struct {
-	root   *node
+	nodes  pt.Arena[node]
 	levels int
 	//mehpt:transient -- Restore reattaches the separately restored physical allocator
 	alloc phys.Source
@@ -88,29 +119,30 @@ func NewPageTableLevels(alloc phys.Source, levels int) (*PageTable, error) {
 		return nil, fmt.Errorf("radix: unsupported depth %d", levels)
 	}
 	p := &PageTable{alloc: alloc, levels: levels}
-	root, err := p.newNode()
-	if err != nil {
+	if _, err := p.newNode(); err != nil {
 		return nil, err
 	}
-	p.root = root
 	return p, nil
 }
 
 // Depth returns the tree depth (4 or 5).
 func (p *PageTable) Depth() int { return p.levels }
 
-func (p *PageTable) newNode() (*node, error) {
+// newNode allocates a node and its 4KB frame and returns the node's id.
+func (p *PageTable) newNode() (uint64, error) {
 	ppn, cycles, err := p.alloc.Alloc(4 * addr.KB)
 	p.stats.AllocCycles += cycles
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	p.stats.Nodes++
 	if p.stats.Nodes > p.stats.PeakNodes {
 		p.stats.PeakNodes = p.stats.Nodes
 	}
 	p.stats.MaxContiguousAlloc = 4 * addr.KB
-	return &node{frame: ppn}, nil
+	id := p.nodes.Alloc()
+	p.nodes.At(id).frame = ppn
+	return id, nil
 }
 
 // Stats returns the accumulated statistics.
@@ -143,53 +175,52 @@ func (p *PageTable) Moves() uint64 { return 0 }
 // Map installs vpn→ppn at the given page size, allocating intermediate
 // nodes as needed. It returns the allocation cycle cost.
 func (p *PageTable) Map(vpn addr.VPN, s addr.PageSize, ppn addr.PPN) (uint64, error) {
+	if ppn > maxPPN {
+		return 0, fmt.Errorf("radix: PPN %d does not fit an entry", ppn)
+	}
 	va := vpn.Addr(s)
 	leaf := leafLevel(s)
 	before := p.stats.AllocCycles
-	n := p.root
+	n := p.nodes.At(rootID)
 	for lvl := p.levels - 1; lvl > leaf; lvl-- {
-		idx := addr.RadixIndex(va, lvl)
-		e := &n.entries[idx]
-		if !e.present {
+		e := &n.entries[addr.RadixIndex(va, lvl)]
+		if *e&present == 0 {
 			child, err := p.newNode()
 			if err != nil {
 				return p.stats.AllocCycles - before, err
 			}
-			e.present = true
-			e.child = child
+			*e = tableEntry(child)
 			n.used++
-		} else if e.huge {
+		} else if *e&huge != 0 {
 			return 0, fmt.Errorf("radix: %v mapping overlaps huge page at level %d", s, lvl)
 		}
-		n = e.child
+		n = p.nodes.At(target(*e))
 	}
-	idx := addr.RadixIndex(va, leaf)
-	e := &n.entries[idx]
-	if !e.present {
+	e := &n.entries[addr.RadixIndex(va, leaf)]
+	if *e&present == 0 {
 		n.used++
-	} else if e.child != nil {
+	} else if leaf > 0 && isTable(*e) {
 		// Huge-page promotion over an existing lower-level table (THP
 		// collapse): release the subtree it replaces.
-		p.freeSubtree(e.child, leaf-1)
+		p.freeSubtree(target(*e), leaf-1)
 	}
-	e.present = true
-	e.huge = leaf > 0
-	e.child = nil
-	e.ppn = ppn
+	*e = leafEntry(ppn, leaf > 0)
 	return p.stats.AllocCycles - before, nil
 }
 
-// freeSubtree releases n and all tree nodes below it.
-func (p *PageTable) freeSubtree(n *node, lvl int) {
+// freeSubtree releases node id and all tree nodes below it, children
+// first.
+func (p *PageTable) freeSubtree(id uint64, lvl int) {
+	n := p.nodes.At(id)
 	if lvl > 0 {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.present && !e.huge && e.child != nil {
-				p.freeSubtree(e.child, lvl-1)
+		for _, e := range n.entries {
+			if isTable(e) {
+				p.freeSubtree(target(e), lvl-1)
 			}
 		}
 	}
-	p.alloc.Free(n.frame, 0)
+	p.alloc.Free(n.frame, 4*addr.KB)
+	p.nodes.Free(id)
 	p.stats.Nodes--
 }
 
@@ -198,20 +229,19 @@ func (p *PageTable) freeSubtree(n *node, lvl int) {
 func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 	va := vpn.Addr(s)
 	leaf := leafLevel(s)
-	n := p.root
+	n := p.nodes.At(rootID)
 	for lvl := p.levels - 1; lvl > leaf; lvl-- {
-		e := &n.entries[addr.RadixIndex(va, lvl)]
-		if !e.present || e.child == nil {
+		e := n.entries[addr.RadixIndex(va, lvl)]
+		if !isTable(e) {
 			return 0, false
 		}
-		n = e.child
+		n = p.nodes.At(target(e))
 	}
 	e := &n.entries[addr.RadixIndex(va, leaf)]
-	if !e.present || (leaf > 0) != e.huge {
+	if *e&present == 0 || (leaf > 0) != (*e&huge != 0) {
 		return 0, false
 	}
-	e.present = false
-	e.ppn = 0
+	*e = 0
 	n.used--
 	return 0, true
 }
@@ -219,16 +249,16 @@ func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 // Translate resolves va by walking the tree.
 //mehpt:hotpath
 func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
-	n := p.root
+	n := p.nodes.At(rootID)
 	for lvl := p.levels - 1; lvl >= 0; lvl-- {
-		e := &n.entries[addr.RadixIndex(va, lvl)]
-		if !e.present {
+		e := n.entries[addr.RadixIndex(va, lvl)]
+		if e&present == 0 {
 			return pt.Translation{}, false
 		}
-		if lvl == 0 || e.huge {
-			return pt.Translation{PPN: e.ppn, Size: sizeAtLevel(lvl)}, true
+		if lvl == 0 || e&huge != 0 {
+			return pt.Translation{PPN: addr.PPN(target(e)), Size: sizeAtLevel(lvl)}, true
 		}
-		n = e.child
+		n = p.nodes.At(target(e))
 	}
 	return pt.Translation{}, false
 }
@@ -269,18 +299,18 @@ func (p *PageTable) WalkAddrs(va addr.VirtAddr) ([]addr.PhysAddr, pt.Translation
 // ran once per TLB miss and was the simulator's largest allocation source.
 //mehpt:hotpath
 func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]addr.PhysAddr, pt.Translation, bool) {
-	n := p.root
+	n := p.nodes.At(rootID)
 	for lvl := p.levels - 1; lvl >= 0; lvl-- {
 		idx := addr.RadixIndex(va, lvl)
 		pas = append(pas, n.frame.Addr(addr.Page4K)+addr.PhysAddr(uint64(idx)*entryBytes)) //mehpt:allow hotalloc -- appends into caller-owned scratch; steady state never grows it
-		e := &n.entries[idx]
-		if !e.present {
+		e := n.entries[idx]
+		if e&present == 0 {
 			return pas, pt.Translation{}, false
 		}
-		if lvl == 0 || e.huge {
-			return pas, pt.Translation{PPN: e.ppn, Size: sizeAtLevel(lvl)}, true
+		if lvl == 0 || e&huge != 0 {
+			return pas, pt.Translation{PPN: addr.PPN(target(e)), Size: sizeAtLevel(lvl)}, true
 		}
-		n = e.child
+		n = p.nodes.At(target(e))
 	}
 	return pas, pt.Translation{}, false
 }
@@ -289,19 +319,21 @@ func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]ad
 // given level for va (Levels-1 = root), and whether the walk reaches it.
 // The MMU's page-walk caches key on these frames.
 func (p *PageTable) NodeFrameAt(va addr.VirtAddr, lvl int) (addr.PPN, bool) {
-	n := p.root
+	n := p.nodes.At(rootID)
 	for l := p.levels - 1; l > lvl; l-- {
-		e := &n.entries[addr.RadixIndex(va, l)]
-		if !e.present || e.child == nil {
+		e := n.entries[addr.RadixIndex(va, l)]
+		if !isTable(e) {
 			return 0, false
 		}
-		n = e.child
+		n = p.nodes.At(target(e))
 	}
 	return n.frame, true
 }
 
 // Free releases every tree node (process teardown).
 func (p *PageTable) Free() {
-	p.freeSubtree(p.root, p.levels-1)
-	p.root = nil
+	if p.nodes.Live() > 0 {
+		p.freeSubtree(rootID, p.levels-1)
+	}
+	p.nodes = pt.Arena[node]{}
 }

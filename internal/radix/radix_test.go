@@ -1,7 +1,10 @@
 package radix
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -238,5 +241,129 @@ func TestInvalidDepthRejected(t *testing.T) {
 	}
 	if _, err := NewPageTableLevels(phys.NewAllocator(mem, 0), 6); err == nil {
 		t.Error("6-level tree accepted")
+	}
+}
+
+// oneMappingState returns the State of a tree holding one 4KB page: nodes
+// 0..3 are the root, PUD, PMD and PTE node, in pre-order.
+func oneMappingState(t *testing.T) (State, phys.Source) {
+	t.Helper()
+	mem := phys.NewMemory(1 * addr.GB)
+	alloc := phys.NewAllocator(mem, 0)
+	p, err := NewPageTable(alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Map(addr.VPN(0x12345), addr.Page4K, 42); err != nil {
+		t.Fatal(err)
+	}
+	st := p.State()
+	if len(st.Nodes) != 4 {
+		t.Fatalf("one 4KB mapping gives %d nodes, want 4", len(st.Nodes))
+	}
+	return st, alloc
+}
+
+// TestRestoreRejectsNonTree pins the fix for Restore accepting child links
+// that are not a tree. Before it, a second reference to node 1 restored
+// cleanly and the next Free panicked with a double free of a physical
+// frame; a crafted -resume checkpoint reaches Restore through
+// tenant.LoadMachine.
+func TestRestoreRejectsNonTree(t *testing.T) {
+	extra := NodeState{Frame: 999}
+	cases := []struct {
+		name   string
+		want   string
+		mutate func(st *State)
+	}{
+		{"node referenced twice", "referenced twice", func(st *State) {
+			st.Nodes[0].Entries = append(st.Nodes[0].Entries, EntryState{Idx: 5, Child: 1})
+		}},
+		{"reference to the root", "references the root", func(st *State) {
+			st.Nodes[1].Entries = append(st.Nodes[1].Entries, EntryState{Idx: 500, Child: 0})
+		}},
+		{"child on a huge entry", "child on a leaf entry", func(st *State) {
+			st.Nodes = append(st.Nodes, extra)
+			st.Nodes[2].Entries = append(st.Nodes[2].Entries, EntryState{Idx: 500, Huge: true, Child: 4})
+		}},
+		{"child on a level-0 entry", "child on a leaf entry", func(st *State) {
+			st.Nodes = append(st.Nodes, extra)
+			st.Nodes[3].Entries = append(st.Nodes[3].Entries, EntryState{Idx: 500, Child: 4})
+		}},
+		{"unreachable node", "unreachable", func(st *State) {
+			st.Nodes = append(st.Nodes, extra)
+		}},
+		{"child index out of range", "out of range", func(st *State) {
+			st.Nodes[0].Entries = append(st.Nodes[0].Entries, EntryState{Idx: 500, Child: 4})
+		}},
+		{"table entry without child", "without child", func(st *State) {
+			st.Nodes[1].Entries = append(st.Nodes[1].Entries, EntryState{Idx: 500, Child: -1, PPN: 5})
+		}},
+		{"table entry with a PPN", "child entry with PPN", func(st *State) {
+			st.Nodes[0].Entries[0].PPN = 5
+		}},
+		{"huge leaf at level 0", "huge leaf at level 0", func(st *State) {
+			st.Nodes[3].Entries[0].Huge = true
+		}},
+		{"huge leaf at the root", "huge leaf at level 3", func(st *State) {
+			st.Nodes[0].Entries = append(st.Nodes[0].Entries, EntryState{Idx: 500, Huge: true, Child: -1, PPN: 7})
+		}},
+		{"entries out of order", "out of order", func(st *State) {
+			e := st.Nodes[3].Entries[0]
+			st.Nodes[3].Entries = append(st.Nodes[3].Entries, e)
+		}},
+		{"PPN wider than an entry", "does not fit", func(st *State) {
+			st.Nodes[3].Entries[0].PPN = 1 << 60
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, alloc := oneMappingState(t)
+			tc.mutate(&st)
+			_, err := Restore(st, alloc)
+			if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error = %v, want one mentioning %q", err, tc.want)
+			}
+		})
+	}
+	t.Run("valid", func(t *testing.T) {
+		st, alloc := oneMappingState(t)
+		p, err := Restore(st, alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := p.CheckTree(); len(bad) > 0 {
+			t.Fatalf("CheckTree: %v", bad)
+		}
+		p.Free()
+	})
+}
+
+// TestNodeIsPointerFree guards the arena's premise for the radix tree: a
+// node that gained a pointer field would make the collector scan every
+// tree, and a node must stay one 4KB frame of entries plus its metadata.
+func TestNodeIsPointerFree(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Array:
+			return hasPointers(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if hasPointers(t.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			return false
+		}
+		return true
+	}
+	if hasPointers(reflect.TypeOf(node{})) {
+		t.Fatal("radix node holds a pointer")
+	}
+	if got := reflect.TypeOf(node{}.entries).Size(); got != 4*addr.KB {
+		t.Errorf("node entries take %d bytes, want 4KB", got)
 	}
 }

@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/addr"
@@ -30,111 +31,168 @@ type State struct {
 	Stats  Stats
 }
 
+// ErrBadState reports a State that Restore cannot turn into a tree.
+var ErrBadState = errors.New("radix: malformed state")
+
 // State returns a deep copy of the tree.
 func (p *PageTable) State() State {
 	st := State{Levels: p.levels, Stats: p.stats}
-	var flatten func(n *node) int32
-	flatten = func(n *node) int32 {
-		id := int32(len(st.Nodes))
+	var flatten func(id uint64, lvl int) int32
+	flatten = func(id uint64, lvl int) int32 {
+		n := p.nodes.At(id)
+		idx := int32(len(st.Nodes))
 		st.Nodes = append(st.Nodes, NodeState{Frame: n.frame})
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !e.present {
+		for i, e := range n.entries {
+			if e&present == 0 {
 				continue
 			}
-			es := EntryState{Idx: uint16(i), Huge: e.huge, Child: -1, PPN: e.ppn}
-			if e.child != nil {
-				es.Child = flatten(e.child)
+			es := EntryState{Idx: uint16(i), Huge: e&huge != 0, Child: -1}
+			if lvl > 0 && isTable(e) {
+				es.Child = flatten(target(e), lvl-1)
+			} else {
+				es.PPN = addr.PPN(target(e))
 			}
-			st.Nodes[id].Entries = append(st.Nodes[id].Entries, es)
+			st.Nodes[idx].Entries = append(st.Nodes[idx].Entries, es)
 		}
-		return id
+		return idx
 	}
-	if p.root != nil {
-		flatten(p.root)
+	if p.nodes.Live() > 0 {
+		flatten(rootID, p.levels-1)
 	}
 	return st
 }
 
 // Restore rebuilds a tree from recorded state without allocating: the node
-// frames in st are already owned in the restored allocator state.
+// frames in st are already owned in the restored allocator state. The
+// state must describe a tree: node 0 is the root, every other node is the
+// child of exactly one entry one level up, only present non-huge entries
+// above level 0 have children, and those carry no PPN; huge leaves sit at
+// the PMD or PUD level. Anything else is an ErrBadState, never a tree that
+// double-frees, loops or panics later.
 func Restore(st State, alloc phys.Source) (*PageTable, error) {
 	if st.Levels < Levels || st.Levels > MaxLevels {
-		return nil, fmt.Errorf("radix: unsupported depth %d", st.Levels)
+		return nil, fmt.Errorf("%w: unsupported depth %d", ErrBadState, st.Levels)
+	}
+	if err := validateTree(st); err != nil {
+		return nil, err
 	}
 	p := &PageTable{levels: st.Levels, alloc: alloc, stats: st.Stats}
-	nodes := make([]*node, len(st.Nodes))
-	for i, ns := range st.Nodes {
-		nodes[i] = &node{frame: ns.Frame}
-	}
-	for i, ns := range st.Nodes {
-		n := nodes[i]
+	for _, ns := range st.Nodes {
+		n := p.nodes.At(p.nodes.Alloc())
+		n.frame = ns.Frame
 		for _, es := range ns.Entries {
-			if int(es.Idx) >= EntriesPerNode {
-				return nil, fmt.Errorf("radix: entry index %d out of range", es.Idx)
-			}
-			e := &n.entries[es.Idx]
-			e.present = true
-			e.huge = es.Huge
-			e.ppn = es.PPN
 			if es.Child >= 0 {
-				if int(es.Child) >= len(nodes) {
-					return nil, fmt.Errorf("radix: child index %d out of range", es.Child)
-				}
-				e.child = nodes[es.Child]
+				n.entries[es.Idx] = tableEntry(uint64(es.Child))
+			} else {
+				n.entries[es.Idx] = leafEntry(es.PPN, es.Huge)
 			}
 			n.used++
 		}
 	}
-	if len(nodes) > 0 {
-		p.root = nodes[0]
-	}
 	return p, nil
+}
+
+// validateTree checks that st's child links form one tree rooted at node 0
+// and that every entry fits the node's level.
+func validateTree(st State) error {
+	if len(st.Nodes) == 0 {
+		return nil
+	}
+	level := make([]int, len(st.Nodes))
+	for i := range level {
+		level[i] = -1
+	}
+	level[0] = st.Levels - 1
+	stack := []int32{0}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		lvl := level[i]
+		prev := -1
+		for _, es := range st.Nodes[i].Entries {
+			if int(es.Idx) >= EntriesPerNode {
+				return fmt.Errorf("%w: entry index %d out of range", ErrBadState, es.Idx)
+			}
+			if int(es.Idx) <= prev {
+				return fmt.Errorf("%w: node %d entry %d out of order", ErrBadState, i, es.Idx)
+			}
+			prev = int(es.Idx)
+			c := es.Child
+			switch {
+			case c < 0:
+				if lvl > 0 && !es.Huge {
+					return fmt.Errorf("%w: node %d entry %d: present table entry without child", ErrBadState, i, es.Idx)
+				}
+				if es.Huge && (lvl == 0 || lvl > 2) {
+					return fmt.Errorf("%w: node %d entry %d: huge leaf at level %d", ErrBadState, i, es.Idx, lvl)
+				}
+				if es.PPN > maxPPN {
+					return fmt.Errorf("%w: node %d entry %d: PPN %d does not fit an entry", ErrBadState, i, es.Idx, es.PPN)
+				}
+				continue
+			case lvl == 0 || es.Huge:
+				return fmt.Errorf("%w: node %d entry %d: child on a leaf entry", ErrBadState, i, es.Idx)
+			case int(c) >= len(st.Nodes):
+				return fmt.Errorf("%w: child index %d out of range", ErrBadState, c)
+			case c == 0:
+				return fmt.Errorf("%w: node %d entry %d references the root", ErrBadState, i, es.Idx)
+			case level[c] >= 0:
+				return fmt.Errorf("%w: node %d referenced twice", ErrBadState, c)
+			case es.PPN != 0:
+				return fmt.Errorf("%w: node %d entry %d: child entry with PPN %d", ErrBadState, i, es.Idx, es.PPN)
+			}
+			level[c] = lvl - 1
+			stack = append(stack, c)
+		}
+	}
+	for i, l := range level {
+		if l < 0 {
+			return fmt.Errorf("%w: node %d unreachable from the root", ErrBadState, i)
+		}
+	}
+	return nil
 }
 
 // VisitOwnedFrames reports every physical frame the tree owns — one 4KB
 // node frame per tree node. The scrubber uses it to prove frame-ownership
 // disjointness across tenants.
 func (p *PageTable) VisitOwnedFrames(f func(base addr.PPN, bytes uint64)) {
-	var walk func(n *node, lvl int)
-	walk = func(n *node, lvl int) {
+	var walk func(id uint64, lvl int)
+	walk = func(id uint64, lvl int) {
+		n := p.nodes.At(id)
 		f(n.frame, 4*addr.KB)
 		if lvl == 0 {
 			return
 		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.present && !e.huge && e.child != nil {
-				walk(e.child, lvl-1)
+		for _, e := range n.entries {
+			if isTable(e) {
+				walk(target(e), lvl-1)
 			}
 		}
 	}
-	if p.root != nil {
-		walk(p.root, p.levels-1)
+	if p.nodes.Live() > 0 {
+		walk(rootID, p.levels-1)
 	}
 }
 
 // VisitMappings calls f for every live translation (vpn, size, ppn).
 func (p *PageTable) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr.PPN)) {
-	var walk func(n *node, lvl int, va uint64)
-	walk = func(n *node, lvl int, va uint64) {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !e.present {
+	var walk func(id uint64, lvl int, va uint64)
+	walk = func(id uint64, lvl int, va uint64) {
+		for i, e := range p.nodes.At(id).entries {
+			if e&present == 0 {
 				continue
 			}
 			sub := va | uint64(i)<<(12+9*uint(lvl))
-			if lvl == 0 || e.huge {
-				f(addr.VPN(sub>>(12+9*uint(lvl))), sizeAtLevel(lvl), e.ppn)
+			if lvl == 0 || e&huge != 0 {
+				f(addr.VPN(sub>>(12+9*uint(lvl))), sizeAtLevel(lvl), addr.PPN(target(e)))
 				continue
 			}
-			if e.child != nil {
-				walk(e.child, lvl-1, sub)
-			}
+			walk(target(e), lvl-1, sub)
 		}
 	}
-	if p.root != nil {
-		walk(p.root, p.levels-1, 0)
+	if p.nodes.Live() > 0 {
+		walk(rootID, p.levels-1, 0)
 	}
 }
 
@@ -145,32 +203,29 @@ func (p *PageTable) VisitMappings(f func(vpn addr.VPN, s addr.PageSize, ppn addr
 func (p *PageTable) CheckTree() []string {
 	var bad []string
 	reachable := 0
-	var walk func(n *node, lvl int)
-	walk = func(n *node, lvl int) {
+	var walk func(id uint64, lvl int)
+	walk = func(id uint64, lvl int) {
 		reachable++
-		present := 0
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !e.present {
+		n := p.nodes.At(id)
+		live := 0
+		for i, e := range n.entries {
+			if e&present == 0 {
 				continue
 			}
-			present++
-			if e.huge && (lvl == 0 || lvl > 2) {
+			live++
+			if e&huge != 0 && (lvl == 0 || lvl > 2) {
 				bad = append(bad, fmt.Sprintf("huge leaf at level %d entry %d", lvl, i))
 			}
-			if !e.huge && lvl > 0 && e.child == nil {
-				bad = append(bad, fmt.Sprintf("present non-leaf entry without child at level %d entry %d", lvl, i))
-			}
-			if e.child != nil && lvl > 0 && !e.huge {
-				walk(e.child, lvl-1)
+			if lvl > 0 && isTable(e) {
+				walk(target(e), lvl-1)
 			}
 		}
-		if present != n.used {
-			bad = append(bad, fmt.Sprintf("node frame %d at level %d: used %d but %d present entries", n.frame, lvl, n.used, present))
+		if live != n.used {
+			bad = append(bad, fmt.Sprintf("node frame %d at level %d: used %d but %d present entries", n.frame, lvl, n.used, live))
 		}
 	}
-	if p.root != nil {
-		walk(p.root, p.levels-1)
+	if p.nodes.Live() > 0 {
+		walk(rootID, p.levels-1)
 	}
 	if reachable != p.stats.Nodes {
 		bad = append(bad, fmt.Sprintf("stats record %d nodes, tree reaches %d", p.stats.Nodes, reachable))

@@ -1,5 +1,10 @@
 package stats
 
+import (
+	"cmp"
+	"slices"
+)
+
 // HistogramState is the serializable form of a Histogram, used by the
 // checkpoint/restore layer (internal/snapshot callers) to carry histogram
 // contents across a crash.
@@ -12,10 +17,10 @@ type HistogramState struct {
 // State returns a deep copy of the histogram's contents.
 func (h *Histogram) State() HistogramState {
 	st := HistogramState{Total: h.total, Sum: h.sum}
-	if len(h.counts) > 0 {
-		st.Counts = make(map[int]uint64, len(h.counts))
-		for v, c := range h.counts {
-			st.Counts[v] = c
+	if len(h.bins) > 0 {
+		st.Counts = make(map[int]uint64, len(h.bins))
+		for _, b := range h.bins {
+			st.Counts[b.v] = b.n
 		}
 	}
 	return st
@@ -23,12 +28,14 @@ func (h *Histogram) State() HistogramState {
 
 // Restore replaces the histogram's contents with the recorded state.
 func (h *Histogram) Restore(st HistogramState) {
-	h.counts = nil
+	h.bins = nil
 	if len(st.Counts) > 0 {
-		h.counts = make(map[int]uint64, len(st.Counts))
+		bins := make([]bin, 0, len(st.Counts))
 		for v, c := range st.Counts {
-			h.counts[v] = c
+			bins = append(bins, bin{v: v, n: c})
 		}
+		slices.SortFunc(bins, func(a, b bin) int { return cmp.Compare(a.v, b.v) })
+		h.bins = bins
 	}
 	h.total = st.Total
 	h.sum = st.Sum

@@ -5,7 +5,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -41,19 +41,39 @@ func Mean(xs []float64) float64 {
 }
 
 // Histogram counts integer-valued observations (e.g. the number of cuckoo
-// re-insertions per insert, Figure 16). The zero value is ready to use.
+// re-insertions per insert, Figure 16). It keeps one (value, count) bin per
+// distinct value, sorted by value: the handful of distinct values a
+// histogram sees makes Add a short search with no hashing. The zero value
+// is ready to use.
 type Histogram struct {
-	counts map[int]uint64
-	total  uint64
-	sum    float64
+	bins  []bin // ascending by v
+	total uint64
+	sum   float64
+}
+
+type bin struct {
+	v int
+	n uint64
+}
+
+// find returns the index of v's bin, or where it would be inserted. It
+// scans from the low end, where cuckoo kick counts crowd: most inserts kick
+// nothing.
+func (h *Histogram) find(v int) (int, bool) {
+	i := 0
+	for i < len(h.bins) && h.bins[i].v < v {
+		i++
+	}
+	return i, i < len(h.bins) && h.bins[i].v == v
 }
 
 // Add records one observation of value v.
 func (h *Histogram) Add(v int) {
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
+	i, ok := h.find(v)
+	if !ok {
+		h.bins = slices.Insert(h.bins, i, bin{v: v})
 	}
-	h.counts[v]++
+	h.bins[i].n++
 	h.total++
 	h.sum += float64(v)
 }
@@ -62,14 +82,19 @@ func (h *Histogram) Add(v int) {
 func (h *Histogram) Total() uint64 { return h.total }
 
 // Count returns the number of observations with value v.
-func (h *Histogram) Count(v int) uint64 { return h.counts[v] }
+func (h *Histogram) Count(v int) uint64 {
+	if i, ok := h.find(v); ok {
+		return h.bins[i].n
+	}
+	return 0
+}
 
 // Probability returns the empirical probability of value v.
 func (h *Histogram) Probability(v int) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return float64(h.counts[v]) / float64(h.total)
+	return float64(h.Count(v)) / float64(h.total)
 }
 
 // Mean returns the mean observed value.
@@ -80,44 +105,49 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// Max returns the largest observed value, or 0 if empty.
+// Max returns the largest observed value, or 0 if empty or if every value
+// is negative.
 func (h *Histogram) Max() int {
-	max := 0
-	for v := range h.counts {
-		if v > max {
-			max = v
-		}
+	if n := len(h.bins); n > 0 && h.bins[n-1].v > 0 {
+		return h.bins[n-1].v
 	}
-	return max
+	return 0
 }
 
 // Values returns the observed values in ascending order.
 func (h *Histogram) Values() []int {
-	vs := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		vs = append(vs, v)
+	vs := make([]int, len(h.bins))
+	for i, b := range h.bins {
+		vs[i] = b.v
 	}
-	sort.Ints(vs)
 	return vs
 }
 
 // Merge adds all observations from other into h. Values are folded in
 // ascending order: float addition is not associative, so accumulating sum
-// in map iteration order would make the merged statistics differ between
-// otherwise identical runs.
+// in any other order would make the merged statistics depend on how the
+// histograms were stored.
 func (h *Histogram) Merge(other *Histogram) {
-	if len(other.counts) == 0 {
+	if len(other.bins) == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64, len(other.counts))
+	merged := make([]bin, 0, len(h.bins)+len(other.bins))
+	i := 0
+	for _, o := range other.bins {
+		for i < len(h.bins) && h.bins[i].v < o.v {
+			merged = append(merged, h.bins[i])
+			i++
+		}
+		if i < len(h.bins) && h.bins[i].v == o.v {
+			merged = append(merged, bin{v: o.v, n: h.bins[i].n + o.n})
+			i++
+		} else {
+			merged = append(merged, o)
+		}
+		h.total += o.n
+		h.sum += float64(o.v) * float64(o.n)
 	}
-	for _, v := range other.Values() {
-		c := other.counts[v]
-		h.counts[v] += c
-		h.total += c
-		h.sum += float64(v) * float64(c)
-	}
+	h.bins = append(merged, h.bins[i:]...)
 }
 
 // String renders the histogram as "v:p v:p ..." with probabilities.

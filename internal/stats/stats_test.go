@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -157,5 +160,59 @@ func TestHumanBytes(t *testing.T) {
 		if got := HumanBytes(c.n); got != c.want {
 			t.Errorf("HumanBytes(%d) = %q, want %q", c.n, got, c.want)
 		}
+	}
+}
+
+// TestHistogramMatchesMapModel checks the sorted-bin histogram against a
+// plain map over random Adds, Merges of interleaved value sets (negative
+// values included) and State/Restore round trips.
+func TestHistogramMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h Histogram
+	model := map[int]uint64{}
+	for step := 0; step < 2000; step++ {
+		switch rng.Intn(4) {
+		case 0, 1:
+			v := rng.Intn(40) - 10
+			h.Add(v)
+			model[v]++
+		case 2:
+			var o Histogram
+			for i := rng.Intn(20); i > 0; i-- {
+				v := rng.Intn(60) - 20
+				o.Add(v)
+				model[v]++
+			}
+			h.Merge(&o)
+		case 3:
+			var r Histogram
+			r.Restore(h.State())
+			h = r
+		}
+	}
+	var total uint64
+	wantMax := 0
+	var want []int
+	for v, c := range model {
+		total += c
+		want = append(want, v)
+		if v > wantMax {
+			wantMax = v
+		}
+		if got := h.Count(v); got != c {
+			t.Fatalf("Count(%d) = %d, want %d", v, got, c)
+		}
+	}
+	sort.Ints(want)
+	if got := h.Values(); !slices.Equal(got, want) {
+		t.Fatalf("Values = %v, want %v", got, want)
+	}
+	if h.Total() != total || h.Max() != wantMax {
+		t.Fatalf("Total, Max = %d, %d; want %d, %d", h.Total(), h.Max(), total, wantMax)
+	}
+	var neg Histogram
+	neg.Add(-3)
+	if neg.Max() != 0 {
+		t.Errorf("Max of only negative values = %d, want 0", neg.Max())
 	}
 }

@@ -9,10 +9,13 @@ package tenant
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/radix"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // ckptConfig returns a small but non-trivial machine: enough accesses to
@@ -148,6 +151,37 @@ func TestRestoreMismatch(t *testing.T) {
 		if _, err := LoadMachine(bad, path); !errors.Is(err, ErrMismatch) {
 			t.Errorf("%s mismatch: got %v, want ErrMismatch", name, err)
 		}
+	}
+}
+
+// TestLoadRejectsCrossLinkedRadixTree writes a checkpoint whose radix tree
+// links one node from two entries and requires LoadMachine to refuse it
+// with radix.ErrBadState. Restoring such a tree used to succeed, and the
+// first teardown then double-freed a physical frame.
+func TestLoadRejectsCrossLinkedRadixTree(t *testing.T) {
+	cfg := ckptConfig(sim.Radix, 1)
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	if err := m.StepRound(); err != nil {
+		t.Fatalf("StepRound: %v", err)
+	}
+	st := m.State()
+	root := &st.Procs[0].Radix.Nodes[0]
+	free := uint16(0) // the lowest unused index; entries are sorted
+	for _, e := range root.Entries {
+		if e.Idx == free {
+			free++
+		}
+	}
+	root.Entries = slices.Insert(root.Entries, int(free), radix.EntryState{Idx: free, Child: root.Entries[0].Child})
+	path := filepath.Join(t.TempDir(), "cross.ckpt")
+	if err := snapshot.Save(path, st); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if _, err := LoadMachine(cfg, path); !errors.Is(err, radix.ErrBadState) {
+		t.Fatalf("LoadMachine = %v, want radix.ErrBadState", err)
 	}
 }
 
