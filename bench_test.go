@@ -454,3 +454,55 @@ func BenchmarkMultiTenant(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWalkBound is the walk-bound regime of Figure 9's GUPS: a sparse
+// resident set of about 315K pages (GUPS at scale 4), far beyond the L2
+// TLB's 1024 entries and far larger than the host's private caches, replayed
+// from a pre-generated GUPS trace so almost every access walks. The set is
+// faulted in before the timer starts. Each op is one batch of accesses;
+// ns/access is the figure to compare, and allocs/op must stay 0.
+func BenchmarkWalkBound(b *testing.B) {
+	const batch = 8192
+	spec, err := workload.ByName("GUPS", 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring := make([]addr.VirtAddr, 1<<16)
+	if n := spec.NewTrace(3, uint64(len(ring))).NextBatch(ring); n != len(ring) {
+		b.Fatalf("GUPS trace produced %d of %d addresses", n, len(ring))
+	}
+	for _, org := range []sim.Org{sim.Radix, sim.ECPT, sim.MEHPT} {
+		b.Run(org.String(), func(b *testing.B) {
+			m, err := sim.NewMachine(sim.Config{Org: org, Workload: spec, Seed: 1,
+				MemBytes: 16 * addr.GB, Populate: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if r := m.Run(); r.Failed {
+				b.Fatal(r.FailReason)
+			}
+			pos := 0
+			replay := func(n int) sim.Result {
+				left := n
+				return m.RunBatches(func(out []addr.VirtAddr) int {
+					k := min(len(out), left, len(ring)-pos)
+					copy(out[:k], ring[pos:pos+k])
+					left -= k
+					pos = (pos + k) % len(ring)
+					return k
+				})
+			}
+			if r := replay(len(ring)); r.Failed { // any page the populate pass missed
+				b.Fatal(r.FailReason)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r := replay(batch); r.Failed {
+					b.Fatal(r.FailReason)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/access")
+		})
+	}
+}

@@ -161,6 +161,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // and its fill position, which the scan has already found. The levels that
 // missed are then refilled at those positions (inclusive hierarchy) —
 // from the level that hit, or from DRAM when every level missed.
+//
 //mehpt:hotpath
 func (h *Hierarchy) Access(pa addr.PhysAddr) uint64 {
 	var sets [len(h.levels)][]uint64
@@ -193,6 +194,7 @@ func (h *Hierarchy) Access(pa addr.PhysAddr) uint64 {
 
 // AccessBatch performs one memory access per element of pas in order,
 // writing each access's round-trip latency into lats[i].
+//
 //mehpt:hotpath
 func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
 	for i, pa := range pas {
@@ -209,6 +211,7 @@ func (h *Hierarchy) AccessBatch(pas []addr.PhysAddr, lats []uint64) {
 // exactly why a four-access sequential radix walk is materially slower than
 // a single hashed probe (Figure 9's mechanism, and Section I's point that
 // tree walks cannot exploit memory-level parallelism).
+//
 //mehpt:hotpath
 func (h *Hierarchy) AccessPT(pa addr.PhysAddr) uint64 {
 	_ = pa

@@ -222,6 +222,7 @@ func (t *Table) occupancy() float64 {
 // for them. Both tables of way i use the same hash function and power-of-two
 // sizes, so one hash value serves both — only the mask differs (the paper's
 // upsize-bit property).
+//
 //mehpt:hotpath
 func (t *Table) locateHash(i int, h uint64) (*way, uint64) {
 	w := t.cur[i]
@@ -235,6 +236,7 @@ func (t *Table) locateHash(i int, h uint64) (*way, uint64) {
 
 // locate is locateHash with the hash computed here. Multi-way loops hoist
 // the shared CRC through t.mixer instead of calling this per way.
+//
 //mehpt:hotpath
 func (t *Table) locate(i int, key uint64) (*way, uint64) {
 	return t.locateHash(i, t.fns[i].Hash(key))
@@ -244,6 +246,7 @@ func (t *Table) locate(i int, key uint64) (*way, uint64) {
 // resize-target table (inNext) and at which slot index — the information a
 // hardware walker derives from the rehash pointers, which the embedding
 // page table needs to compute probe addresses.
+//
 //mehpt:hotpath
 func (t *Table) Probe(i int, key uint64) (inNext bool, idx uint64) {
 	h := t.fns[i].Hash(key)
@@ -257,6 +260,7 @@ func (t *Table) Probe(i int, key uint64) (inNext bool, idx uint64) {
 }
 
 // WayOf returns the way index currently holding key.
+//
 //mehpt:hotpath
 func (t *Table) WayOf(key uint64) (int, bool) {
 	crc := t.mixer.CRC(key)
@@ -270,6 +274,7 @@ func (t *Table) WayOf(key uint64) (int, bool) {
 }
 
 // Lookup returns the value stored for key.
+//
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
 	v, _, _, _, ok := t.LookupWay(key)
@@ -281,6 +286,7 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 // returns for the winning way. The fused walk uses it instead of a second
 // probe sweep (WayOf) and a second hash (Probe) per translation. Its
 // statistics footprint is identical to Lookup's.
+//
 //mehpt:hotpath
 func (t *Table) LookupWay(key uint64) (val uint64, way int, inNext bool, idx uint64, ok bool) {
 	t.stats.Lookups++
@@ -293,6 +299,22 @@ func (t *Table) LookupWay(key uint64) (val uint64, way int, inNext bool, idx uin
 		}
 	}
 	return 0, 0, false, 0, false
+}
+
+// Peek is Lookup without the statistics: it reads the W slots key hashes
+// to and writes nothing, so a read-only walk-ahead can run it without
+// moving a counter.
+//
+//mehpt:hotpath
+func (t *Table) Peek(key uint64) (uint64, bool) {
+	crc := t.mixer.CRC(key)
+	for i := 0; i < t.cfg.Ways; i++ {
+		w, idx := t.locateHash(i, t.mixer.HashAt(i, crc))
+		if e := w.slots[idx]; e.Key == key {
+			return e.Val, true
+		}
+	}
+	return 0, false
 }
 
 // Insert adds key with value val. If key is already present its value is

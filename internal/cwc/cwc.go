@@ -78,6 +78,7 @@ func New() *Walker {
 // it must also fetch the CWT entry from memory; the returned address is
 // that extra access (to be priced by the cache hierarchy). Probing fills
 // the caches, as the subsequent CWT fetch would.
+//
 //mehpt:hotpath
 func (w *Walker) Probe(va addr.VirtAddr) (hit bool, cwtFetch addr.PhysAddr, lat uint64) {
 	pmdRegion := uint64(va) >> addr.Page2M.Shift()

@@ -204,12 +204,14 @@ func (t *Table) DrainResize() error { return t.tb.DrainResize() }
 func (t *Table) Insert(key, val uint64) (int, error) { return t.tb.Insert(key, val) }
 
 // Lookup returns the value for key.
+//
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) { return t.tb.Lookup(key) }
 
 // LookupProbe is Lookup additionally returning the physical address of the
 // winning way's probe slot (ProbeAddr of the way that hit), with the same
 // statistics footprint. The lookup's one hash places the probe too.
+//
 //mehpt:hotpath
 func (t *Table) LookupProbe(key uint64) (uint64, addr.PhysAddr, bool) {
 	val, way, inNext, idx, ok := t.tb.LookupWay(key)
@@ -234,6 +236,7 @@ func (t *Table) ProbeAddr(i int, key uint64) addr.PhysAddr {
 
 // slotPA returns the physical address of slot idx of way i, in the resize
 // target's way group when inNext.
+//
 //mehpt:hotpath
 func (t *Table) slotPA(i int, inNext bool, idx uint64) addr.PhysAddr {
 	gi := 0

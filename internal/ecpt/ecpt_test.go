@@ -178,15 +178,16 @@ func TestModelEquivalence(t *testing.T) {
 func TestProbeAddrsStable(t *testing.T) {
 	p, _ := newPT(t, 1*addr.GB)
 	va := addr.VirtAddr(0x5555_0000)
-	a := p.ProbeAddrs(va, addr.Page4K)
-	b := p.ProbeAddrs(va, addr.Page4K)
-	if len(a) != 3 {
-		t.Fatalf("probe count = %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("probe address unstable for way %d", i)
+	seen := map[addr.PhysAddr]int{}
+	for w := 0; w < 3; w++ {
+		a := p.WayProbeAddr(va, addr.Page4K, w)
+		if b := p.WayProbeAddr(va, addr.Page4K, w); a != b {
+			t.Errorf("probe address unstable for way %d: %#x then %#x", w, a, b)
 		}
+		if prev, dup := seen[a]; dup {
+			t.Errorf("ways %d and %d probe the same address %#x", prev, w, a)
+		}
+		seen[a] = w
 	}
 }
 

@@ -93,6 +93,7 @@ func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 }
 
 // Translate resolves va against all page sizes, largest first.
+//
 //mehpt:hotpath
 func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
 	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
@@ -105,6 +106,7 @@ func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
 }
 
 // TranslateSize resolves vpn at exactly the given page size.
+//
 //mehpt:hotpath
 func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool) {
 	if p.tables[s] == nil {
@@ -117,22 +119,8 @@ func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool
 	return p.slab.At(id).Get(pt.SubIndex(vpn))
 }
 
-// ProbeAddrs returns the physical addresses of the W parallel way probes
-// for va at page size s.
-func (p *PageTable) ProbeAddrs(va addr.VirtAddr, s addr.PageSize) []addr.PhysAddr {
-	t := p.tables[s]
-	if t == nil {
-		return nil
-	}
-	key := pt.ClusterKey(va.PageNumber(s))
-	pas := make([]addr.PhysAddr, t.ways)
-	for i := 0; i < t.ways; i++ {
-		pas[i] = t.ProbeAddr(i, key)
-	}
-	return pas
-}
-
 // WayProbeAddr returns the physical address of one way's probe slot.
+//
 //mehpt:hotpath
 func (p *PageTable) WayProbeAddr(va addr.VirtAddr, s addr.PageSize, wayIdx int) addr.PhysAddr {
 	return p.tables[s].ProbeAddr(wayIdx, pt.ClusterKey(va.PageNumber(s)))
@@ -142,6 +130,7 @@ func (p *PageTable) WayProbeAddr(va addr.VirtAddr, s addr.PageSize, wayIdx int) 
 // probe slot — the fused equivalent of Translate + WayOf + WayProbeAddr the
 // MMU's miss path uses, with the identical per-table statistics footprint
 // (one Lookup per instantiated size table until the hit).
+//
 //mehpt:hotpath
 func (p *PageTable) Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool) {
 	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
@@ -165,7 +154,40 @@ func (p *PageTable) Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 	return pt.Translation{}, 0, false
 }
 
+// Prefetch is the MMU's walk-ahead: for up to pt.WalkAhead of vas it reads
+// the way slots of each size table, largest first until one holds the
+// address's cluster, then the clusters those slots name — the host memory
+// Walk will read for them — so their host cache misses overlap instead of
+// queueing behind one walk each. It
+// writes nothing (no statistics, no resize step, no random draw), so the
+// simulation cannot observe it. The result folds the loaded words together;
+// the caller keeps it so the loads are not optimized away.
+//
+//mehpt:hotpath
+func (p *PageTable) Prefetch(vas []addr.VirtAddr) uint64 {
+	if len(vas) > pt.WalkAhead {
+		vas = vas[:pt.WalkAhead]
+	}
+	var ids [pt.WalkAhead]uint64
+	k := 0
+	for _, va := range vas {
+		for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
+			t := p.tables[i]
+			if t == nil {
+				continue
+			}
+			if id, ok := t.tb.Peek(pt.ClusterKey(va.PageNumber(addr.PageSize(i)))); ok {
+				ids[k] = id
+				k++
+				break
+			}
+		}
+	}
+	return p.slab.Touch(ids[:k])
+}
+
 // WayOf returns the way index holding va's cluster at page size s.
+//
 //mehpt:hotpath
 func (p *PageTable) WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool) {
 	if p.tables[s] == nil {

@@ -47,7 +47,7 @@ func Virtualization(o Options, pages int) []VirtRow {
 			mapHost = func(v addr.VPN, p addr.PPN) error { _, err := hpt.Map(v, addr.Page4K, p); return err }
 		} else {
 			gpt, _ := radix.NewPageTable(guestAlloc) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
-			hpt, _ := radix.NewPageTable(hostAlloc) //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
+			hpt, _ := radix.NewPageTable(hostAlloc)  //mehpt:allow errwrap -- fresh dedicated allocator cannot be out of memory
 			guest, host = &nested.RadixGuest{PT: gpt}, &nested.RadixHost{PT: hpt}
 			mapGuest = func(v addr.VPN, p addr.PPN) error { _, err := gpt.Map(v, addr.Page4K, p); return err }
 			mapHost = func(v addr.VPN, p addr.PPN) error { _, err := hpt.Map(v, addr.Page4K, p); return err }

@@ -346,26 +346,25 @@ func TestReinsertionsDistribution(t *testing.T) {
 	}
 }
 
-// TestProbeAddrsDistinctAndStable: hardware walk addresses are well-formed.
+// TestProbeAddrs: hardware walk addresses are well-formed — stable, and
+// distinct across ways.
 func TestProbeAddrs(t *testing.T) {
 	p, _ := newPT(t, 1*addr.GB)
 	va := addr.VirtAddr(0x7000_0000)
-	if pas := p.ProbeAddrs(va, addr.Page4K); pas != nil {
-		t.Fatalf("ProbeAddrs before any mapping = %v, want nil (lazy tables)", pas)
+	if p.Table(addr.Page4K) != nil {
+		t.Fatal("4KB table exists before any mapping, want lazy creation")
 	}
 	p.Map(va.PageNumber(addr.Page4K), addr.Page4K, 5)
-	pas := p.ProbeAddrs(va, addr.Page4K)
-	if len(pas) != 3 {
-		t.Fatalf("ProbeAddrs len = %d", len(pas))
-	}
-	again := p.ProbeAddrs(va, addr.Page4K)
-	for i := range pas {
-		if pas[i] != again[i] {
-			t.Errorf("probe address unstable for way %d", i)
+	seen := map[addr.PhysAddr]int{}
+	for w := 0; w < 3; w++ {
+		a := p.WayProbeAddr(va, addr.Page4K, w)
+		if b := p.WayProbeAddr(va, addr.Page4K, w); a != b {
+			t.Errorf("probe address unstable for way %d: %#x then %#x", w, a, b)
 		}
-		if pas[i] != p.WayProbeAddr(va, addr.Page4K, i) {
-			t.Errorf("WayProbeAddr mismatch for way %d", i)
+		if prev, dup := seen[a]; dup {
+			t.Errorf("ways %d and %d probe the same address %#x", prev, w, a)
 		}
+		seen[a] = w
 	}
 }
 

@@ -110,6 +110,7 @@ func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 
 // Translate resolves va against all page sizes, largest first (a huge-page
 // mapping shadows any stale base-page entries).
+//
 //mehpt:hotpath
 func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
 	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
@@ -123,6 +124,7 @@ func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
 }
 
 // TranslateSize resolves vpn at exactly the given page size.
+//
 //mehpt:hotpath
 func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool) {
 	if p.tables[s] == nil {
@@ -140,6 +142,7 @@ func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool
 // MMU's miss path uses. Its statistics footprint is identical: one Lookup
 // counted per instantiated size table until the hit, and a stash-resident
 // entry reports way 0's probe address (WayOf does not see the stash).
+//
 //mehpt:hotpath
 func (p *PageTable) Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool) {
 	for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
@@ -175,25 +178,43 @@ func (p *PageTable) Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
 	return pt.Translation{}, 0, false
 }
 
-// ProbeAddrs returns the physical addresses of the W slots a hardware walk
-// probes (in parallel) for va at page size s — the addresses the MMU prices
-// against the cache hierarchy.
-func (p *PageTable) ProbeAddrs(va addr.VirtAddr, s addr.PageSize) []addr.PhysAddr {
-	t := p.tables[s]
-	if t == nil {
-		return nil
+// Prefetch is the MMU's walk-ahead: for up to pt.WalkAhead of vas it reads
+// the way slots of each size table, largest first until one holds the
+// address's cluster, then the clusters those slots name — the host memory
+// Walk will read for them — so their host cache misses overlap instead of
+// queueing behind one walk each. It
+// writes nothing (no statistics, no resize step, no random draw) and skips
+// the stash, so the simulation cannot observe it. The result folds the
+// loaded words together; the caller keeps it so the loads are not
+// optimized away.
+//
+//mehpt:hotpath
+func (p *PageTable) Prefetch(vas []addr.VirtAddr) uint64 {
+	if len(vas) > pt.WalkAhead {
+		vas = vas[:pt.WalkAhead]
 	}
-	key := pt.ClusterKey(va.PageNumber(s))
-	pas := make([]addr.PhysAddr, len(t.ways))
-	for i, w := range t.ways {
-		pas[i] = w.slotPA(w.locate(key))
+	var ids [pt.WalkAhead]uint64
+	k := 0
+	for _, va := range vas {
+		for i := int(addr.NumPageSizes) - 1; i >= 0; i-- {
+			t := p.tables[i]
+			if t == nil {
+				continue
+			}
+			if _, _, id, ok := t.lookupSlot(pt.ClusterKey(va.PageNumber(addr.PageSize(i)))); ok {
+				ids[k] = id
+				k++
+				break
+			}
+		}
 	}
-	return pas
+	return p.slab.Touch(ids[:k])
 }
 
 // WayProbeAddr returns the physical address of one way's probe slot for va
 // at page size s — used when the cuckoo walk cache has narrowed the walk to
 // a single way.
+//
 //mehpt:hotpath
 func (p *PageTable) WayProbeAddr(va addr.VirtAddr, s addr.PageSize, wayIdx int) addr.PhysAddr {
 	t := p.tables[s]
@@ -204,6 +225,7 @@ func (p *PageTable) WayProbeAddr(va addr.VirtAddr, s addr.PageSize, wayIdx int) 
 
 // WayOf returns the way index currently holding va's cluster at page size
 // s, and whether it is present — ground truth for cuckoo walk tables.
+//
 //mehpt:hotpath
 func (p *PageTable) WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool) {
 	t := p.tables[s]

@@ -269,6 +269,7 @@ func (t *Table) Resizing() bool {
 // lookupSlot finds the way index and slot index holding key, and the
 // value stored there. One CRC pass serves all W probes (hashfn.Mixer); each
 // way reuses its hash across the old and new index masks during resizes.
+//
 //mehpt:hotpath
 func (t *Table) lookupSlot(key uint64) (wi int, idx, val uint64, ok bool) {
 	crc := t.mixer.CRC(key)
@@ -282,6 +283,7 @@ func (t *Table) lookupSlot(key uint64) (wi int, idx, val uint64, ok bool) {
 }
 
 // stashIndex returns the stash position of key, or -1.
+//
 //mehpt:hotpath
 func (t *Table) stashIndex(key uint64) int {
 	for i, e := range t.stash {
@@ -294,6 +296,7 @@ func (t *Table) stashIndex(key uint64) int {
 
 // Lookup returns the cluster id stored for key, consulting the software
 // stash after the W hash probes (the OS-walked overflow path).
+//
 //mehpt:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
 	t.stats.Lookups++

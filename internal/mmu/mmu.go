@@ -40,21 +40,44 @@ type Stats struct {
 }
 
 // HPTPageTable is the interface both ecpt.PageTable and mehpt.PageTable
-// satisfy: the hashed-walk operations the MMU needs.
+// satisfy: what the MMU and the multi-tenant scheduler call on a hashed
+// page table.
 type HPTPageTable interface {
 	//mehpt:hotpath
 	Translate(va addr.VirtAddr) (pt.Translation, bool)
-	//mehpt:hotpath
-	WayOf(va addr.VirtAddr, s addr.PageSize) (int, bool)
-	//mehpt:hotpath
-	WayProbeAddr(va addr.VirtAddr, s addr.PageSize, way int) addr.PhysAddr
-	// Walk fuses Translate + WayOf + WayProbeAddr for the TLB-miss path:
-	// one probe sweep resolves the translation and the winning way's probe
-	// address, with the same statistics footprint as the three separate
-	// calls.
+	// Walk resolves va on the TLB-miss path: one probe sweep yields the
+	// translation and the physical address of the winning way's probe.
 	//mehpt:hotpath
 	Walk(va addr.VirtAddr) (pt.Translation, addr.PhysAddr, bool)
+	// Prefetch is the read-only walk-ahead (see front.lookupBatch).
+	//mehpt:hotpath
+	Prefetch(vas []addr.VirtAddr) uint64
+	//mehpt:hotpath
+	FootprintBytes() uint64
 }
+
+// walkAheadRun is how many consecutive accesses must miss every TLB before
+// the walk-ahead runs. A walk-bound stream (GUPS) keeps such runs going for
+// tens of accesses; in a TLB-friendly one (BFS) most misses are isolated or
+// come in pairs, and the window after them would mostly hit the TLB.
+const walkAheadRun = 4
+
+// walkAheadMinBytes gates the walk-ahead on the bound page table's
+// footprint. A smaller table stays in the host's caches, where reading
+// ahead only adds work. The simulated footprint stands in for the host
+// one: a radix node is a 4 KB frame, and a hashed table's host slots and
+// clusters are about the size of the 64-byte slots it models.
+const walkAheadMinBytes = 16 << 20
+
+// walkAheadMode selects when the walk-ahead runs. Only tests change it
+// (export_test.go), to show that the simulation cannot observe it.
+var walkAheadMode = walkAheadGated
+
+const (
+	walkAheadGated  = iota // a run of misses on a large table
+	walkAheadAlways        // every call that stops at a miss
+	walkAheadOff
+)
 
 // front is the translation front end both MMU variants share: the TLB
 // hierarchy, the data-cache hierarchy walks go through, and the counters.
@@ -63,6 +86,17 @@ type front struct {
 	TLB   *tlb.Hierarchy
 	Mem   *cache.Hierarchy
 	stats Stats
+
+	// The walk-ahead's hint state decides only which host memory is read
+	// early; no simulated result depends on it.
+	//mehpt:transient -- walk-ahead hint, host-only; Bind and FlushTranslation reset it
+	run int // consecutive accesses, up to the last full miss, that missed every TLB
+	//mehpt:transient -- walk-ahead hint, host-only; Bind and FlushTranslation reset it
+	ahead int // leading elements of the next call's vas already covered
+	//mehpt:transient -- walk-ahead sink, host-only; keeps the compiler from dropping the loads
+	hint uint64
+	//mehpt:transient -- walk-ahead scratch, dead between calls
+	aheadBuf [pt.WalkAhead]addr.VirtAddr
 }
 
 // Stats returns translation counters.
@@ -80,6 +114,7 @@ func (f *front) RestoreStats(s Stats) { f.stats = s }
 // resident entry resolves in the bound table with the same PPN — is the
 // scrubber-enforced invariant that makes the payload trustworthy. On a
 // full miss it returns false and a Result carrying only the miss latency.
+//
 //mehpt:hotpath
 func (f *front) lookup(va addr.VirtAddr) (Result, bool) {
 	f.stats.Translations++
@@ -95,7 +130,7 @@ func (f *front) lookup(va addr.VirtAddr) (Result, bool) {
 	return Result{PA: addr.Translate(va, addr.PPN(pay), s), Size: s, Cycles: lat}, true
 }
 
-// TranslateBatchPAs resolves the longest TLB-hit prefix of vas, software-
+// lookupBatch resolves the longest TLB-hit prefix of vas, software-
 // pipelined through tlb.Hierarchy.LookupBatchPAs: resolved elements land in
 // pas as physical addresses, and it returns the resolved count n and their
 // summed translation cycles. State updates, statistics, and timing are
@@ -109,8 +144,19 @@ func (f *front) lookup(va addr.VirtAddr) (Result, bool) {
 // caller's pending data accesses also touch; everything before it commutes
 // (TLB hits touch only TLB state). At most tlb.BatchWidth elements are
 // consumed per call.
+//
+// The last result is the walk-ahead window, or nil. Each walk is a chain of
+// dependent host cache misses (slot, then cluster; or one node per radix
+// level), so a run of walks waits on them one after another. When vas[n]
+// is the walkAheadRun-th access in a row to miss every TLB, and no earlier
+// window covers it, the window is vas[n:n+16]: the variant reads ahead for
+// its addresses that no L2 TLB holds in one pass (Prefetch), so their host
+// misses overlap and the walks that follow find their lines in the host
+// cache. Shorter runs do not trigger it, since the accesses after them
+// mostly hit the TLB; each address is read ahead at most once.
+//
 //mehpt:hotpath
-func (f *front) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
+func (f *front) lookupBatch(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64, []addr.VirtAddr) {
 	if len(vas) > tlb.BatchWidth {
 		vas = vas[:tlb.BatchWidth]
 	}
@@ -118,10 +164,51 @@ func (f *front) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int
 	f.stats.Translations += uint64(n)
 	f.stats.L1Hits += l1
 	f.stats.L2Hits += uint64(n) - l1
-	if n < len(vas) {
-		f.stats.Translations++ // element n entered translation; its walk is the caller's
+	if n == len(vas) {
+		f.run = 0
+		f.ahead = max(f.ahead-n, 0)
+		return n, latSum, missLat, nil
 	}
-	return n, latSum, missLat
+	f.stats.Translations++ // element n entered translation; its walk is the caller's
+	if n > 0 {
+		f.run = 0 // vas[n-1] hit
+	}
+	f.run++
+	var window []addr.VirtAddr
+	switch {
+	case walkAheadMode == walkAheadAlways,
+		walkAheadMode == walkAheadGated && f.run >= walkAheadRun && f.ahead <= n:
+		window = vas[n:min(n+pt.WalkAhead, len(vas))]
+		f.ahead = n + len(window)
+	}
+	f.ahead = max(f.ahead-(n+1), 0) // the caller resumes at n+1
+	return n, latSum, missLat, window
+}
+
+// walkAheadSet returns the addresses of window that no L2 TLB holds — the
+// ones the bound table's Prefetch should read ahead for — or nil when the
+// table's footprint is too small for the host to miss on it.
+//
+//mehpt:hotpath
+func (f *front) walkAheadSet(window []addr.VirtAddr, footprint uint64) []addr.VirtAddr {
+	if footprint < walkAheadMinBytes && walkAheadMode != walkAheadAlways {
+		return nil
+	}
+	k := 0
+	for _, va := range window {
+		if !f.TLB.Resident(va) {
+			f.aheadBuf[k] = va
+			k++
+		}
+	}
+	return f.aheadBuf[:k]
+}
+
+// resetWalkAhead drops the walk-ahead's hint state when the address space
+// or its translations change.
+func (f *front) resetWalkAhead() {
+	f.run = 0
+	f.ahead = 0
 }
 
 // HPT is the MMU for hashed page tables.
@@ -140,8 +227,25 @@ func NewHPT(table HPTPageTable, mem *cache.Hierarchy) *HPT {
 	}
 }
 
+// TranslateBatchPAs resolves the longest TLB-hit prefix of vas into pas and
+// returns the resolved count, their summed cycles, and the next element's
+// full-miss latency; see front.lookupBatch for the contract. In a run of
+// misses it first reads the table ahead for the next walks.
+//
+//mehpt:hotpath
+func (m *HPT) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
+	n, latSum, missLat, window := m.lookupBatch(vas, pas)
+	if len(window) > 0 {
+		if ahead := m.walkAheadSet(window, m.Table.FootprintBytes()); len(ahead) > 0 {
+			m.hint += m.Table.Prefetch(ahead)
+		}
+	}
+	return n, latSum, missLat
+}
+
 // Translate resolves va, modelling the full latency of TLB lookup and, on a
 // miss, the hashed page walk.
+//
 //mehpt:hotpath
 func (m *HPT) Translate(va addr.VirtAddr) Result {
 	r, hit := m.lookup(va)
@@ -162,6 +266,7 @@ func (m *HPT) Translate(va addr.VirtAddr) Result {
 // CRC hash units run in parallel with the CWC lookup (both fixed-latency);
 // the ME-HPT L2P access hides behind the CWC as well (Section V-D), so the
 // pre-probe latency is max(hash, CWC) = CWC.
+//
 //mehpt:hotpath
 func (m *HPT) TranslateWalk(va addr.VirtAddr, tlbLat uint64) Result {
 	m.stats.Walks++
@@ -206,6 +311,7 @@ func (m *HPT) Invalidate(va addr.VirtAddr, s addr.PageSize) {
 func (m *HPT) FlushTranslation() {
 	m.TLB.Flush()
 	m.CWC.Flush()
+	m.resetWalkAhead()
 }
 
 // Bind retargets this MMU shard at a new address space: table becomes the
@@ -275,8 +381,22 @@ func NewRadix(table *radix.PageTable, mem *cache.Hierarchy) *Radix {
 	return m
 }
 
+// TranslateBatchPAs is HPT.TranslateBatchPAs for the radix tree.
+//
+//mehpt:hotpath
+func (m *Radix) TranslateBatchPAs(vas []addr.VirtAddr, pas []addr.PhysAddr) (int, uint64, uint64) {
+	n, latSum, missLat, window := m.lookupBatch(vas, pas)
+	if len(window) > 0 {
+		if ahead := m.walkAheadSet(window, m.Table.FootprintBytes()); len(ahead) > 0 {
+			m.hint += m.Table.Prefetch(ahead)
+		}
+	}
+	return n, latSum, missLat
+}
+
 // Translate resolves va through the TLBs and, on a miss, a sequential tree
 // walk whose upper levels the PWCs can skip.
+//
 //mehpt:hotpath
 func (m *Radix) Translate(va addr.VirtAddr) Result {
 	r, hit := m.lookup(va)
@@ -288,6 +408,7 @@ func (m *Radix) Translate(va addr.VirtAddr) Result {
 
 // TranslateWalk performs the radix tree walk after a full TLB miss with
 // accumulated miss latency tlbLat; see HPT.TranslateWalk for the contract.
+//
 //mehpt:hotpath
 func (m *Radix) TranslateWalk(va addr.VirtAddr, tlbLat uint64) Result {
 	m.stats.Walks++
@@ -344,6 +465,7 @@ func (m *Radix) FlushTranslation() {
 	for i := range m.pwcs {
 		m.pwcs[i].tags = m.pwcs[i].tags[:0]
 	}
+	m.resetWalkAhead()
 }
 
 // Bind retargets this MMU shard at a new address space, flushing all

@@ -28,6 +28,13 @@ func SubIndex(vpn addr.VPN) uint { return uint(uint64(vpn) % ClusterSpan) }
 // BaseVPN returns the first VPN covered by the cluster with the given key.
 func BaseVPN(key uint64) addr.VPN { return addr.VPN(key * ClusterSpan) }
 
+// WalkAhead is the walk-ahead window: the most virtual addresses one
+// Prefetch call of a page table reads ahead for. Sixteen hashed walks are
+// about 64 independent host loads (W slots and a cluster each), more than
+// a host core keeps in flight; it is the only window the walk-ahead has
+// been measured with (DESIGN.md, "Hot path & performance model").
+const WalkAhead = 16
+
 // Cluster is the payload of one clustered entry: up to 8 translations.
 type Cluster struct {
 	ValidMask uint8
@@ -72,6 +79,21 @@ func (c *Cluster) Count() int {
 // valid across later Allocs. The zero value is ready to use.
 type Slab struct {
 	Arena[Cluster]
+}
+
+// Touch reads the first and last word of each cluster in ids — every host
+// cache line a 72-byte cluster can span — and folds them into the result,
+// which the caller keeps so the loads are not optimized away. It is the
+// second stage of the hashed page tables' walk-ahead and writes nothing.
+//
+//mehpt:hotpath
+func (s *Slab) Touch(ids []uint64) uint64 {
+	var sink uint64
+	for _, id := range ids {
+		c := s.At(id)
+		sink += uint64(c.ValidMask) + uint64(c.PPNs[ClusterSpan-1])
+	}
+	return sink
 }
 
 // Step is one sequential stage of a page walk. Accesses within a step are

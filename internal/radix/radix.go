@@ -247,6 +247,7 @@ func (p *PageTable) Unmap(vpn addr.VPN, s addr.PageSize) (uint64, bool) {
 }
 
 // Translate resolves va by walking the tree.
+//
 //mehpt:hotpath
 func (p *PageTable) Translate(va addr.VirtAddr) (pt.Translation, bool) {
 	n := p.nodes.At(rootID)
@@ -276,6 +277,7 @@ func sizeAtLevel(lvl int) addr.PageSize {
 }
 
 // TranslateSize resolves vpn at exactly the given page size.
+//
 //mehpt:hotpath
 func (p *PageTable) TranslateSize(vpn addr.VPN, s addr.PageSize) (addr.PPN, bool) {
 	tr, ok := p.Translate(vpn.Addr(s))
@@ -297,6 +299,7 @@ func (p *PageTable) WalkAddrs(va addr.VirtAddr) ([]addr.PhysAddr, pt.Translation
 // walk is at most MaxLevels accesses, so a caller that reuses a scratch
 // buffer of that capacity walks without allocating. This matters: the walk
 // ran once per TLB miss and was the simulator's largest allocation source.
+//
 //mehpt:hotpath
 func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]addr.PhysAddr, pt.Translation, bool) {
 	n := p.nodes.At(rootID)
@@ -315,9 +318,44 @@ func (p *PageTable) AppendWalkAddrs(pas []addr.PhysAddr, va addr.VirtAddr) ([]ad
 	return pas, pt.Translation{}, false
 }
 
+// Prefetch is the MMU's walk-ahead: it descends the tree for up to
+// pt.WalkAhead of vas one level at a time, reading each level's entries for
+// the whole window before the next, so the window's node loads at one
+// level overlap instead of queueing behind one sequential walk each. It
+// writes nothing, so the simulation cannot observe it. The result folds the
+// loaded entries together; the caller keeps it so the loads are not
+// optimized away.
+//
+//mehpt:hotpath
+func (p *PageTable) Prefetch(vas []addr.VirtAddr) uint64 {
+	if len(vas) > pt.WalkAhead {
+		vas = vas[:pt.WalkAhead]
+	}
+	var ids [pt.WalkAhead]uint64 // node each walk reads at the current level; the root is id 0
+	live := uint32(1)<<len(vas) - 1
+	var sink uint64
+	for lvl := p.levels - 1; lvl >= 0 && live != 0; lvl-- {
+		for i, va := range vas {
+			if live&(1<<i) == 0 {
+				continue
+			}
+			n := p.nodes.At(ids[i])
+			e := n.entries[addr.RadixIndex(va, lvl)]
+			sink += e + uint64(n.frame) // the walk reads the node's frame too
+			if lvl == 0 || !isTable(e) {
+				live &^= 1 << i
+				continue
+			}
+			ids[i] = target(e)
+		}
+	}
+	return sink
+}
+
 // NodeFrameAt returns the physical frame of the tree node traversed at the
 // given level for va (Levels-1 = root), and whether the walk reaches it.
-// The MMU's page-walk caches key on these frames.
+// It exposes the tree's shape to tests and tools; the MMU's page-walk
+// caches key on VA prefixes, not on node frames (mmu.pwc).
 func (p *PageTable) NodeFrameAt(va addr.VirtAddr, lvl int) (addr.PPN, bool) {
 	n := p.nodes.At(rootID)
 	for l := p.levels - 1; l > lvl; l-- {

@@ -300,6 +300,7 @@ func (m *Machine) runSource(next func(out []addr.VirtAddr) int, res *Result) {
 // step runs vas through the pipeline, accumulating into res. It returns
 // false once the run has failed; the failing access counts toward
 // res.Accesses.
+//
 //mehpt:hotpath
 func (m *Machine) step(vas []addr.VirtAddr, res *Result) bool {
 	var c Cycles
